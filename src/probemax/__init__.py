@@ -42,10 +42,6 @@ from .gap2 import (
 )
 from .gap_continuous import (
     ContinuousResult,
-    DerandomizeResult,
-    FreeOrderPolicy,
-    MixtureVar,
-    PlainVar,
     PsiSolution,
     build_policy,
     compute_psi_star,
@@ -87,11 +83,9 @@ __all__ = [
     "BoundResult",
     "ContinuousResult",
     "DegenerateSet",
-    "DerandomizeResult",
     "DiscreteFinite",
     "Distribution",
     "Exponential",
-    "FreeOrderPolicy",
     "Gap2Result",
     "GuaranteeViolation",
     "IndexOutOfRange",
@@ -100,10 +94,8 @@ __all__ = [
     "InvalidEpsilon",
     "InvalidTolerance",
     "Mixture",
-    "MixtureVar",
     "NotContinuous",
     "NotDiscrete",
-    "PlainVar",
     "PolicyStats",
     "ProbemaxError",
     "PsiSolution",

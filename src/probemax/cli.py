@@ -124,9 +124,9 @@ def cmd_gapcont(args) -> None:
             "frac_pair": _render_set(sol.frac_pair) if sol.frac_pair else "",
             "expected_reward": result.stats.expected_reward,
             "expected_b": result.stats.expected_b,
-            "derandomized_set": _render_set(result.derandomized.subset),
-            "derandomized_order": _render_set(result.derandomized.order),
-            "derandomized_reward": result.derandomized.expected_reward,
+            "derandomized_set": _render_set(sorted(result.derandomized_order)),
+            "derandomized_order": _render_set(result.derandomized_order),
+            "derandomized_reward": result.derandomized_reward,
         }],
         ["r_star", "u_star", "alpha", "frac_pair", "expected_reward",
          "expected_b", "derandomized_set", "derandomized_order",
@@ -138,7 +138,7 @@ def cmd_gapcont(args) -> None:
 def cmd_oracle(args) -> None:
     inst = parse_instance_file(args.file)
     a_star = oracles.adaptive_optimum_dp(inst)
-    s_star, s_set = oracles.static_optimum_enum(inst, trials=args.trials, seed=args.seed)
+    s_star, s_set = oracles.static_optimum_enum(inst)
     u_star = gap2_mod.narrow_interval(inst, args.epsilon).u_star
     _write_csv(
         [{
@@ -230,7 +230,7 @@ def _bench_row(instance_id: int, family: str, inst: Instance, epsilon: float) ->
         row.update(
             u_star=result.bound.u_star,
             cont_reward=result.stats.expected_reward,
-            cont_set=_render_set(result.derandomized.subset),
+            cont_set=_render_set(sorted(result.derandomized_order)),
             ratio_cont_over_u=result.stats.expected_reward / result.bound.u_star,
         )
     row["runtime_s"] = time.perf_counter() - started
@@ -298,8 +298,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="exact adaptive/static optima plus the bound")
     add_common(p)
     p.add_argument("--epsilon", type=float, default=0.05)
-    p.add_argument("--trials", type=int, default=1_000_000)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("eval", help="closed-form statistics of a threshold policy")
@@ -329,7 +327,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--family", choices=BENCH_FAMILIES, required=True)
     p.add_argument("--epsilon", type=float, default=0.05)
-    p.add_argument("--trials", type=int, default=1_000_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n-min", type=int, default=2)
     p.add_argument("--n-max", type=int, default=6)

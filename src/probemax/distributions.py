@@ -75,14 +75,6 @@ class Distribution(ABC):
         """
         return self.ppf(u)
 
-    def sample(self, rng: np.random.Generator) -> float:
-        """A single draw using the supplied random stream."""
-        return float(self.ppf(rng.random()))
-
-    def sample_array(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        """A vector of independent draws using the supplied random stream."""
-        return np.asarray(self.ppf(rng.random(size)), dtype=float)
-
 
 class DiscreteFinite(Distribution):
     """Finite-support distribution given as (value, probability) atoms.
@@ -296,15 +288,6 @@ class Mixture(Distribution):
 
     def draw(self, coin, u):
         return np.where(coin < self.weight, self.left.ppf(u), self.right.ppf(u))
-
-    def sample(self, rng: np.random.Generator) -> float:
-        branch = self.left if rng.random() < self.weight else self.right
-        return branch.sample(rng)
-
-    def sample_array(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        coins = rng.random(size)
-        values = rng.random(size)
-        return np.asarray(self.draw(coins, values), dtype=float)
 
 
 def point_mass(value: float) -> DiscreteFinite:

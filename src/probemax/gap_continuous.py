@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import Iterable
 
 from .distributions import Distribution, Mixture
 from .errors import AlphaOutOfRange, NotContinuous, SwapStall
@@ -50,51 +50,6 @@ def _require_continuous(inst: Instance) -> None:
 
 
 @dataclass(frozen=True)
-class PlainVar:
-    """A policy entry referencing one original variable."""
-
-    index: int
-
-    def distribution(self, inst: Instance) -> Distribution:
-        return inst.dists[self.index]
-
-    @property
-    def indices(self) -> tuple[int, ...]:
-        return (self.index,)
-
-    @property
-    def tie_index(self) -> int:
-        return self.index
-
-
-@dataclass(frozen=True)
-class MixtureVar:
-    """A policy entry mixing the two fractional variables.
-
-    With probability weight the entry behaves as variable ell, otherwise as
-    variable m; weight equals psi[ell].
-    """
-
-    ell: int
-    m: int
-    weight: float
-
-    def distribution(self, inst: Instance) -> Distribution:
-        return Mixture(self.weight, inst.dists[self.ell], inst.dists[self.m])
-
-    @property
-    def indices(self) -> tuple[int, ...]:
-        return (self.ell, self.m)
-
-    @property
-    def tie_index(self) -> int:
-        return min(self.ell, self.m)
-
-
-VariableRef = Union[PlainVar, MixtureVar]
-
-
-@dataclass(frozen=True)
 class PsiSolution:
     """Almost-integer maximizer of the relaxed inner problem at r_star."""
 
@@ -104,27 +59,6 @@ class PsiSolution:
     alpha: float
     frac_pair: tuple[int, int] | None
     psi: tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class FreeOrderPolicy:
-    """Inspect entries by weakly-decreasing E[Y | Y >= threshold]."""
-
-    entries: tuple[VariableRef, ...]
-    threshold: float
-
-    def as_threshold_policy(self, inst: Instance) -> ThresholdPolicy:
-        """Materialize entries as distributions; mixtures need no special casing."""
-        return ThresholdPolicy(
-            entries=[e.distribution(inst) for e in self.entries],
-            threshold=self.threshold,
-        )
-
-
-class DerandomizeResult(NamedTuple):
-    subset: tuple[int, ...]
-    order: tuple[int, ...]
-    expected_reward: float
 
 
 def construct_s_minus_plus(
@@ -229,63 +163,53 @@ def compute_psi_star(
     )
 
 
-def build_policy(inst: Instance, sol: PsiSolution) -> FreeOrderPolicy:
-    """Free-order policy over the psi-support with threshold r_star.
+def build_policy(
+    inst: Instance, sol: PsiSolution
+) -> tuple[ThresholdPolicy, tuple[int, ...]]:
+    """Threshold policy over the psi-support at r_star, plus its index labels.
 
     Entries are the integral variables plus one mixture entry for the
     fractional pair, sorted by weakly-decreasing conditional tail
     expectation (zero-tail entries last, ties by lowest original index).
+    The labels give each entry's original index in inspection order; the
+    mixture is labelled by the lower index of its pair.
     """
-    entries: list[VariableRef] = [
-        PlainVar(i) for i, w in enumerate(sol.psi) if w == 1.0
-    ]
+    entries = [(inst.dists[i], i) for i, w in enumerate(sol.psi) if w == 1.0]
     if sol.frac_pair is not None:
         ell, m = sol.frac_pair
-        entries.append(MixtureVar(ell=ell, m=m, weight=sol.psi[ell]))
+        mix = Mixture(sol.psi[ell], inst.dists[ell], inst.dists[m])
+        entries.append((mix, min(ell, m)))
 
-    def sort_key(entry: VariableRef):
-        d = entry.distribution(inst)
+    def sort_key(entry: tuple[Distribution, int]):
+        d, label = entry
         cond = d.cond_exp_ge(sol.r_star) if d.survival(sol.r_star) > 0.0 else 0.0
-        return (-cond, entry.tie_index)
+        return (-cond, label)
 
-    return FreeOrderPolicy(
-        entries=tuple(sorted(entries, key=sort_key)), threshold=sol.r_star
-    )
+    entries.sort(key=sort_key)
+    policy = ThresholdPolicy([d for d, _ in entries], threshold=sol.r_star)
+    return policy, tuple(label for _, label in entries)
 
 
 def derandomize(
-    inst: Instance, sol: PsiSolution, policy: FreeOrderPolicy
-) -> DerandomizeResult:
+    inst: Instance, sol: PsiSolution, policy: ThresholdPolicy, order: tuple[int, ...]
+) -> tuple[tuple[int, ...], float]:
     """Replace the mixture entry by its better branch, keeping the order.
 
     The reward of each branch is the policy's conditional expected reward
     given the branch coin, so the better branch earns at least the
-    unconditional expectation; a tie keeps the first branch.
+    unconditional expectation; a tie keeps the first branch.  Needs a
+    fractional pair; returns the derandomized inspection order and its
+    expected reward.
     """
-    slot = next(
-        (j for j, e in enumerate(policy.entries) if isinstance(e, MixtureVar)), None
-    )
-    if slot is None:
-        stats = evaluate(policy.as_threshold_policy(inst))
-        order = tuple(e.index for e in policy.entries)
-        return DerandomizeResult(
-            subset=tuple(sorted(order)),
-            order=order,
-            expected_reward=stats.expected_reward,
-        )
-    mix = policy.entries[slot]
-    rewards = []
-    for branch in (mix.ell, mix.m):
+    slot = order.index(min(sol.frac_pair))
+    branches = []
+    for branch in sol.frac_pair:
         entries = list(policy.entries)
-        entries[slot] = PlainVar(branch)
-        variant = FreeOrderPolicy(entries=tuple(entries), threshold=policy.threshold)
-        stats = evaluate(variant.as_threshold_policy(inst))
-        rewards.append((stats.expected_reward, branch, variant))
-    (reward, _, variant) = max(rewards, key=lambda t: t[0])
-    order = tuple(e.index for e in variant.entries)
-    return DerandomizeResult(
-        subset=tuple(sorted(order)), order=order, expected_reward=reward
-    )
+        entries[slot] = inst.dists[branch]
+        stats = evaluate(ThresholdPolicy(entries, policy.threshold))
+        swapped = order[:slot] + (branch,) + order[slot + 1 :]
+        branches.append((swapped, stats.expected_reward))
+    return max(branches, key=lambda b: b[1])
 
 
 @dataclass(frozen=True)
@@ -294,28 +218,35 @@ class ContinuousResult:
 
     bound: BoundResult
     solution: PsiSolution
-    policy: FreeOrderPolicy
+    policy: ThresholdPolicy
     stats: PolicyStats
-    derandomized: DerandomizeResult
+    derandomized_order: tuple[int, ...]
+    derandomized_reward: float
 
 
 def solve_continuous(inst: Instance, tol_psi: float = TOL_PSI) -> ContinuousResult:
-    """End-to-end pipeline: bound, psi*, policy, statistics, derandomized set.
+    """End-to-end pipeline: bound, psi*, policy, statistics, derandomized order.
 
     The minimizer bracket runs at width 1e-8 * mu_max.  The tie tolerance is
     widened to 4x that width: a genuine tie at the true minimizer separates
     by at most twice the bracket width at the approximate one, so this keeps
     every true tie inside the class while any spurious member changes the
-    envelope value by a comparably negligible amount.
+    envelope value by a comparably negligible amount.  Without a fractional
+    pair the policy is already deterministic, so it is its own
+    derandomization.
     """
     _require_continuous(inst)
     xi = XI_SCALE * inst.mu_max
     bound = minimize_hmax(inst, xi)
     tie_tol = TIE_TOL + 4.0 * xi
     sol = compute_psi_star(inst, bound.r_hat, tie_tol=tie_tol, tol_psi=tol_psi)
-    policy = build_policy(inst, sol)
-    stats = evaluate(policy.as_threshold_policy(inst))
-    der = derandomize(inst, sol, policy)
+    policy, order = build_policy(inst, sol)
+    stats = evaluate(policy)
+    if sol.frac_pair is None:
+        der_order, der_reward = order, stats.expected_reward
+    else:
+        der_order, der_reward = derandomize(inst, sol, policy, order)
     return ContinuousResult(
-        bound=bound, solution=sol, policy=policy, stats=stats, derandomized=der
+        bound=bound, solution=sol, policy=policy, stats=stats,
+        derandomized_order=der_order, derandomized_reward=der_reward,
     )

@@ -75,6 +75,16 @@ def _parse_dist(tokens: list[str], line_no: int) -> Distribution:
     raise ValidationError(f"line {line_no}: field 'kind': unknown kind {kind!r}")
 
 
+def _parse_k(tokens: list[str], line_no: int) -> int:
+    # isdigit() admits strings int() rejects, such as "--2" and "²".
+    try:
+        if len(tokens) == 2 and tokens[1].lstrip("-").isdigit():
+            return int(tokens[1])
+    except ValueError:
+        pass
+    raise ValidationError(f"line {line_no}: field 'k': expected one integer")
+
+
 def parse_instance_text(text: str) -> Instance:
     """Parse an instance file, reporting the offending line and field."""
     k = None
@@ -87,9 +97,7 @@ def parse_instance_text(text: str) -> Instance:
         if tokens[0] == "k":
             if k is not None:
                 raise ValidationError(f"line {line_no}: field 'k' repeated")
-            if len(tokens) != 2 or not tokens[1].lstrip("-").isdigit():
-                raise ValidationError(f"line {line_no}: field 'k': expected one integer")
-            k = int(tokens[1])
+            k = _parse_k(tokens, line_no)
         elif tokens[0] == "dist":
             dists.append(_parse_dist(tokens[1:], line_no))
         else:

@@ -123,9 +123,11 @@ def h_max(inst: Instance, r: float) -> tuple[float, tuple[int, ...]]:
 def minimize_hmax(inst: Instance, xi_target: float) -> BoundResult:
     """Golden-section search for a minimizer of H_max over [0, n * mu_max].
 
-    Shrinks the bracket until its width is at most xi_target; the returned
-    interval contains a minimizer because H_max is convex.  Runs
-    O(log(n * mu_max / xi_target)) envelope evaluations.
+    Shrinks the bracket until its width is at most xi_target, or until it
+    stops shrinking at floating-point resolution; the returned interval
+    contains a minimizer because H_max is convex.  Runs
+    O(log(n * mu_max / xi_target)) envelope evaluations.  Raises
+    ValidationError when the bound overflows to a non-finite value.
     """
     if not (isinstance(xi_target, (int, float)) and math.isfinite(xi_target)) or xi_target <= 0.0:
         raise InvalidTolerance(f"xi_target={xi_target!r} must be a positive real")
@@ -137,6 +139,7 @@ def minimize_hmax(inst: Instance, xi_target: float) -> BoundResult:
         fc, _ = h_max(inst, c)
         fd, _ = h_max(inst, d)
         while hi - lo > xi_target:
+            width = hi - lo
             if fc < fd:
                 hi, d, fd = d, c, fc
                 c = hi - INV_PHI * (hi - lo)
@@ -146,8 +149,15 @@ def minimize_hmax(inst: Instance, xi_target: float) -> BoundResult:
                 d = lo + INV_PHI * (hi - lo)
                 fd, _ = h_max(inst, d)
             iterations += 1
+            if hi - lo >= width:
+                break  # the bracket is a few ulps wide and cannot shrink further
     r_hat = 0.5 * (lo + hi)
     u_star, _ = h_max(inst, r_hat)
+    if not math.isfinite(u_star):
+        raise ValidationError(
+            f"upper bound U* overflows to {u_star!r} at r_hat={r_hat!r}; "
+            "the variables' values exceed the floating-point range"
+        )
     return BoundResult(
         r_minus=lo, r_plus=hi, r_hat=r_hat, u_star=u_star, xi=float(xi_target),
         iterations=iterations,

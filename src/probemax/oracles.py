@@ -13,12 +13,10 @@ import math
 from itertools import combinations
 from typing import Iterable
 
-import numpy as np
-
 from .distributions import DiscreteFinite
 from .errors import InstanceTooLarge, NotDiscrete
 from .minmax import Instance
-from .policy_eval import expected_max_exact_discrete
+from .policy_eval import _draw_values, expected_max_exact_discrete
 
 MAX_DP_STATES = 5_000_000
 MAX_ENUM_SUBSETS = 100_000
@@ -83,9 +81,9 @@ def static_optimum_enum(
     """Best size-k subset by exhaustive enumeration.
 
     Discrete instances are scored exactly; otherwise every subset is scored
-    by Monte Carlo on one shared sample matrix (common random numbers), so
-    subset comparisons share their noise.  Ties keep the lexicographically
-    first witness.
+    by Monte Carlo on one shared sample matrix (common random numbers) drawn
+    from the simulator's counter-based stream, so subset comparisons share
+    their noise.  Ties keep the lexicographically first witness.
     """
     total = math.comb(inst.n, inst.k)
     if total > max_subsets:
@@ -95,10 +93,7 @@ def static_optimum_enum(
         def score(subset):
             return expected_max_exact_discrete(inst.dists, subset)
     else:
-        rng = np.random.default_rng(seed)
-        samples = np.column_stack(
-            [d.sample_array(rng, trials) for d in inst.dists]
-        )
+        samples = _draw_values(inst.dists, seed, 0, trials)
         def score(subset):
             return float(samples[:, subset].max(axis=1).mean())
     best_value, best_subset = -math.inf, None

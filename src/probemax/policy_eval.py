@@ -124,12 +124,20 @@ def _per_trial_columns(n_entries: int) -> int:
     return -(-cols // _PHILOX_BLOCK) * _PHILOX_BLOCK
 
 
+def _draw_values(
+    dists: Sequence[Distribution], seed: int, start: int, stop: int
+) -> np.ndarray:
+    """Samples of every variable for trials [start, stop); one column each."""
+    u = _trial_uniforms(seed, start, stop, _per_trial_columns(len(dists)))
+    values = np.empty((stop - start, len(dists)))
+    for j, d in enumerate(dists):
+        values[:, j] = d.draw(u[:, 2 * j], u[:, 2 * j + 1])
+    return values
+
+
 def _simulate_chunk(policy: ThresholdPolicy, seed: int, start: int, stop: int):
     """Per-trial (reward, max) for trials [start, stop)."""
-    u = _trial_uniforms(seed, start, stop, _per_trial_columns(len(policy.entries)))
-    values = np.empty((stop - start, len(policy.entries)))
-    for j, d in enumerate(policy.entries):
-        values[:, j] = d.draw(u[:, 2 * j], u[:, 2 * j + 1])
+    values = _draw_values(policy.entries, seed, start, stop)
     hits = values >= policy.threshold
     stopped = hits.any(axis=1)
     first = hits.argmax(axis=1)

@@ -192,9 +192,8 @@ def test_criterion_7_derandomized_monte_carlo(continuous_suite):
     ok = True
     worst = math.inf
     for inst, result in continuous_suite:
-        der = result.derandomized
         policy = ThresholdPolicy(
-            entries=[inst.dists[i] for i in der.order],
+            entries=[inst.dists[i] for i in result.derandomized_order],
             threshold=result.solution.r_star,
         )
         sim = simulate(policy, trials=10**6, seed=131)

@@ -61,6 +61,9 @@ class TestInstanceFiles:
     def test_k_must_be_present_and_valid(self):
         with pytest.raises(ValidationError, match="'k' missing"):
             parse_instance_text("dist uniform a 0 b 1\n")
+        for k in ("--2", "\u00b2", "1.0"):
+            with pytest.raises(ValidationError, match="line 1: field 'k'"):
+                parse_instance_text(f"k {k}\ndist uniform a 0 b 1\n")
         with pytest.raises(ValidationError, match="k=3"):
             parse_instance_text("k 3\ndist uniform a 0 b 1\n")
 
@@ -167,6 +170,18 @@ class TestCommands:
         code, _, err = run_cli(["bound", str(path)], capsys)
         assert code == 1
         assert "line 2" in err and "rate" in err
+        for k in ("--2", "\u00b2"):
+            path.write_text(f"k {k}\ndist uniform a 0 b 1\n", encoding="utf-8")
+            code, _, err = run_cli(["bound", str(path)], capsys)
+            assert code == 1
+            assert "line 1" in err and "'k'" in err
+
+    def test_overflowing_bound_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "huge.inst"
+        path.write_text("k 1\ndist uniform a 0 b 1e308\ndist uniform a 0 b 1.7e308\n")
+        code, out, err = run_cli(["gap2", str(path)], capsys)
+        assert code == 1
+        assert out == "" and "overflows" in err
 
     def test_k_too_large_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.inst"

@@ -15,6 +15,7 @@ from probemax import (
     ZeroTail,
     point_mass,
 )
+from probemax.policy_eval import _draw_values
 
 ATOL = 1e-12
 
@@ -109,40 +110,40 @@ class TestGValue:
         assert d.g_value(r) == pytest.approx(g_ref, abs=1e-9)
 
 
+def philox_draws(d, trials, seed):
+    """Samples of d from the simulator's counter-based stream."""
+    return _draw_values([d], seed, 0, trials)[:, 0]
+
+
 class TestSampling:
     def test_point_mass_deterministic(self):
-        rng = np.random.default_rng(123)
-        assert point_mass(1.0).sample(rng) == 1.0
+        assert philox_draws(point_mass(1.0), 1, 123)[0] == 1.0
 
     def test_uniform_range(self):
-        rng = np.random.default_rng(7)
-        draws = Uniform(0, 1).sample_array(rng, 1000)
+        draws = philox_draws(Uniform(0, 1), 1000, 7)
         assert np.all((0.0 <= draws) & (draws < 1.0))
 
     def test_exponential_law_of_large_numbers(self):
-        rng = np.random.default_rng(42)
-        draws = Exponential(1.0).sample_array(rng, 10**6)
+        draws = philox_draws(Exponential(1.0), 10**6, 42)
         assert abs(draws.mean() - 1.0) < 0.01
 
     def test_discrete_frequencies(self):
         d = DiscreteFinite([(0.0, 0.25), (1.0, 0.5), (4.0, 0.25)])
-        rng = np.random.default_rng(5)
-        draws = d.sample_array(rng, 200_000)
+        draws = philox_draws(d, 200_000, 5)
         assert abs((draws == 1.0).mean() - 0.5) < 0.005
         assert abs(draws.mean() - d.mean()) < 0.01
 
     def test_mixture_coin_then_delegate(self):
         d = Mixture(0.25, point_mass(1.0), point_mass(3.0))
-        rng = np.random.default_rng(11)
-        draws = d.sample_array(rng, 100_000)
+        draws = philox_draws(d, 100_000, 11)
         assert set(np.unique(draws)) == {1.0, 3.0}
         assert abs((draws == 1.0).mean() - 0.25) < 0.01
 
     def test_sample_deterministic_per_seed(self):
         d = Mixture(0.5, Uniform(0, 1), Exponential(2.0))
-        a = [d.sample(np.random.default_rng(9)) for _ in range(3)]
-        b = [d.sample(np.random.default_rng(9)) for _ in range(3)]
-        assert a == b
+        a = philox_draws(d, 3, 9)
+        b = philox_draws(d, 3, 9)
+        assert np.array_equal(a, b)
 
 
 class TestIsContinuous:

@@ -1,4 +1,4 @@
-"""Tests for the continuous pipeline: psi*, free-order policy, derandomization."""
+"""Tests for the continuous pipeline: psi*, threshold policy, derandomization."""
 
 import math
 
@@ -9,9 +9,7 @@ from probemax import (
     AlphaOutOfRange,
     Instance,
     Mixture,
-    MixtureVar,
     NotContinuous,
-    PlainVar,
     PsiSolution,
     Uniform,
     build_policy,
@@ -141,18 +139,19 @@ class TestBuildPolicy:
         k = 2
         inst = Instance([Uniform(0, 1) for _ in range(k)], k)
         sol = compute_psi_star(inst, 0.5)
-        policy = build_policy(inst, sol)
-        assert all(isinstance(e, PlainVar) for e in policy.entries)
-        assert tuple(e.index for e in policy.entries) == (0, 1)
+        policy, order = build_policy(inst, sol)
+        assert order == (0, 1)
+        assert all(d is inst.dists[i] for d, i in zip(policy.entries, order))
         assert policy.threshold == 0.5
 
     def test_mixture_entry_survival_law(self):
         sol = compute_psi_star(TRIO, 2.0)
-        policy = build_policy(TRIO, sol)
-        mixtures = [e for e in policy.entries if isinstance(e, MixtureVar)]
-        assert len(mixtures) == 1
-        mix = mixtures[0].distribution(TRIO)
+        policy, order = build_policy(TRIO, sol)
+        slots = [j for j, d in enumerate(policy.entries) if isinstance(d, Mixture)]
+        assert len(slots) == 1
+        mix = policy.entries[slots[0]]
         ell, m = sol.frac_pair
+        assert order[slots[0]] == min(ell, m)
         expected = (
             sol.psi[ell] * TRIO.dists[ell].survival(2.0)
             + (1 - sol.psi[ell]) * TRIO.dists[m].survival(2.0)
@@ -165,8 +164,7 @@ class TestBuildPolicy:
             result = solve_continuous(inst)
             policy = result.policy
             conds = []
-            for entry in policy.entries:
-                d = entry.distribution(inst)
+            for d in policy.entries:
                 s = d.survival(policy.threshold)
                 conds.append(d.cond_exp_ge(policy.threshold) if s > 0 else 0.0)
             assert all(a >= b - 1e-12 for a, b in zip(conds, conds[1:]))
@@ -176,13 +174,11 @@ class TestDerandomize:
     def test_integral_pass_through(self):
         k = 2
         inst = Instance([Uniform(0, 1) for _ in range(k)], k)
-        sol = compute_psi_star(inst, 0.5)
-        policy = build_policy(inst, sol)
-        result = derandomize(inst, sol, policy)
-        assert result.subset == (0, 1)
-        assert result.expected_reward == pytest.approx(
-            evaluate(policy.as_threshold_policy(inst)).expected_reward
-        )
+        result = solve_continuous(inst)
+        assert result.solution.frac_pair is None
+        assert result.derandomized_order == build_policy(inst, result.solution)[1]
+        assert sorted(result.derandomized_order) == [0, 1]
+        assert result.derandomized_reward == evaluate(result.policy).expected_reward
 
     def test_symmetric_pair_keeps_first_branch(self):
         inst = Instance([Uniform(0, 2), Uniform(0, 2), Uniform(0, 2)], 2)
@@ -190,20 +186,20 @@ class TestDerandomize:
             r_star=1.0, s_minus=(0, 1), s_plus=(0, 2), alpha=0.5,
             frac_pair=(2, 1), psi=(1.0, 0.5, 0.5),
         )
-        policy = build_policy(inst, sol)
-        result = derandomize(inst, sol, policy)
-        assert 2 in result.subset and 1 not in result.subset
+        policy, order = build_policy(inst, sol)
+        der_order, _ = derandomize(inst, sol, policy, order)
+        assert 2 in der_order and 1 not in der_order
 
     def test_tail_dominant_branch_wins(self):
         sol = compute_psi_star(TRIO, 2.0)
-        policy = build_policy(TRIO, sol)
+        policy, order = build_policy(TRIO, sol)
         ell, m = sol.frac_pair
         tail = lambda i: TRIO.dists[i].tail_moment_one(2.0)
         assert tail(ell) > tail(m)
-        result = derandomize(TRIO, sol, policy)
-        assert ell in result.subset and m not in result.subset
-        unconditional = evaluate(policy.as_threshold_policy(TRIO)).expected_reward
-        assert result.expected_reward >= unconditional - 1e-12
+        der_order, der_reward = derandomize(TRIO, sol, policy, order)
+        assert ell in der_order and m not in der_order
+        unconditional = evaluate(policy).expected_reward
+        assert der_reward >= unconditional - 1e-12
 
 
 class TestPipeline:
@@ -245,7 +241,7 @@ class TestPipeline:
         assert stats.expected_reward >= E_FLOOR * u_star - 1e-4 * u_star
 
         # derandomized reward never falls below the randomized policy
-        assert result.derandomized.expected_reward >= stats.expected_reward - 1e-12
+        assert result.derandomized_reward >= stats.expected_reward - 1e-12
 
     @pytest.mark.parametrize("seed", range(12))
     def test_psi_beats_every_integral_subset(self, seed):
@@ -265,8 +261,7 @@ class TestPipeline:
         result = solve_continuous(TRIO)
         assert result.solution.frac_pair == (2, 0)
         assert result.solution.alpha == pytest.approx(0.5, abs=1e-6)
-        policy = result.policy.as_threshold_policy(TRIO)
-        assert sum(isinstance(d, Mixture) for d in policy.entries) == 1
+        assert sum(isinstance(d, Mixture) for d in result.policy.entries) == 1
 
     def test_discrete_instance_rejected(self):
         inst = Instance([point_mass(1.0), Uniform(0, 1)], 1)

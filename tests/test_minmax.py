@@ -110,6 +110,15 @@ class TestMinimizeHmax:
         expected = math.log(2 * 0.5 / 1e-9) / math.log((1 + math.sqrt(5)) / 2)
         assert bound.iterations <= expected + 3
 
+    def test_bracket_stops_at_float_resolution(self):
+        # H_max(r) = 0.5 + r^2 / 2 rounds to 0.5 for r below about 1e-8; ties
+        # keep the bracket inside that flat stretch, where its width stalls at
+        # one ulp, far above 1e-300.
+        bound = minimize_hmax(Instance([Uniform(0, 1)] * 2, 1), 1e-300)
+        assert 0.0 <= bound.r_minus <= bound.r_hat <= bound.r_plus
+        assert bound.r_plus - bound.r_minus <= 4.0 * math.ulp(bound.r_plus)
+        assert bound.u_star == 0.5
+
     def test_bound_fields(self):
         bound = minimize_hmax(TWO_UNIFORM, 1e-5)
         assert 0.0 <= bound.r_minus <= bound.r_hat <= bound.r_plus <= 2 * 0.5
