@@ -21,7 +21,13 @@ import numpy as np
 from . import gap2 as gap2_mod
 from . import gap_continuous as cont_mod
 from . import oracles
-from .errors import GuaranteeViolation, ProbemaxError, SwapStall, ValidationError
+from .errors import (
+    GuaranteeViolation,
+    InstanceTooLarge,
+    ProbemaxError,
+    SwapStall,
+    ValidationError,
+)
 from .instance_io import (
     GEN_FAMILIES,
     emit_instance,
@@ -54,9 +60,15 @@ def _parse_indices(spec: str, inst: Instance) -> tuple[int, ...]:
     return inst.subset([i - 1 for i in raw])
 
 
-def _write_csv(rows: list[dict], fieldnames: list[str], out_path: str | None) -> None:
+def _write_csv(rows: list[dict], out_path: str | None, fieldnames=None) -> None:
+    """Write rows as CSV under `fieldnames`, by default the first row's keys.
+
+    Missing keys stay empty; `bench` names its columns for its empty suites.
+    """
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
+    writer = csv.DictWriter(
+        buf, fieldnames=fieldnames or list(rows[0]), lineterminator="\n"
+    )
     writer.writeheader()
     writer.writerows(rows)
     text = buf.getvalue()
@@ -87,7 +99,6 @@ def cmd_bound(args) -> None:
             "xi": bound.xi,
             "iterations": bound.iterations,
         }],
-        ["r_minus", "r_plus", "r_hat", "u_star", "xi", "iterations"],
         args.out,
     )
 
@@ -106,8 +117,6 @@ def cmd_gap2(args) -> None:
             "u_star": result.bound.u_star,
             "epsilon": result.epsilon,
         }],
-        ["chosen", "threshold", "s_tilde_plus", "s_tilde_minus",
-         "rho_plus", "rho_minus", "u_star", "epsilon"],
         args.out,
     )
 
@@ -128,9 +137,6 @@ def cmd_gapcont(args) -> None:
             "derandomized_order": _render_set(result.derandomized_order),
             "derandomized_reward": result.derandomized_reward,
         }],
-        ["r_star", "u_star", "alpha", "frac_pair", "expected_reward",
-         "expected_b", "derandomized_set", "derandomized_order",
-         "derandomized_reward"],
         args.out,
     )
 
@@ -147,7 +153,6 @@ def cmd_oracle(args) -> None:
             "u_star": u_star,
             "s_witness": _render_set(s_set),
         }],
-        ["a_star", "s_star", "u_star", "s_witness"],
         args.out,
     )
 
@@ -165,8 +170,6 @@ def cmd_eval(args) -> None:
             "expected_sum": stats.expected_sum,
             "expected_excess": stats.expected_excess,
         }],
-        ["threshold", "expected_reward", "expected_b", "prob_stop",
-         "expected_sum", "expected_excess"],
         args.out,
     )
 
@@ -184,7 +187,6 @@ def cmd_simulate(args) -> None:
             "trials": args.trials,
             "seed": args.seed,
         }],
-        ["threshold", "mean_reward", "mean_max", "stderr", "trials", "seed"],
         args.out,
     )
 
@@ -203,28 +205,41 @@ BENCH_FIELDS = [
     "instance_id", "family", "n", "k", "u_star", "a_star", "s_star",
     "gap2_rho", "gap2_exact_max", "cont_reward", "cont_set",
     "ratio_s_over_a", "ratio_a_over_u", "ratio_gap2_over_a",
-    "ratio_cont_over_u", "runtime_s",
+    "ratio_cont_over_u", "runtime_s", "status",
 ]
 
 
 def _bench_row(instance_id: int, family: str, inst: Instance, epsilon: float) -> dict:
+    """One suite row.
+
+    A discrete instance too large for the exact oracles keeps its bound and
+    gap2 columns, leaves the oracle and ratio columns empty, and gets status
+    too_large; every other error aborts the suite.
+    """
     started = time.perf_counter()
     row: dict = {"instance_id": instance_id, "family": family, "n": inst.n, "k": inst.k}
+    row["status"] = "ok"
     if family == "discrete":
         result = gap2_mod.select_gap2_set(inst, epsilon)
-        a_star = oracles.adaptive_optimum_dp(inst)
-        s_star, _ = oracles.static_optimum_enum(inst)
         exact_max = expected_max_exact_discrete(inst.dists, result.chosen)
         row.update(
             u_star=result.bound.u_star,
-            a_star=a_star,
-            s_star=s_star,
             gap2_rho=result.threshold,
             gap2_exact_max=exact_max,
-            ratio_s_over_a=s_star / a_star,
-            ratio_a_over_u=a_star / result.bound.u_star,
-            ratio_gap2_over_a=exact_max / a_star,
         )
+        try:
+            a_star = oracles.adaptive_optimum_dp(inst)
+            s_star, _ = oracles.static_optimum_enum(inst)
+        except InstanceTooLarge:
+            row["status"] = "too_large"
+        else:
+            row.update(
+                a_star=a_star,
+                s_star=s_star,
+                ratio_s_over_a=s_star / a_star,
+                ratio_a_over_u=a_star / result.bound.u_star,
+                ratio_gap2_over_a=exact_max / a_star,
+            )
     else:
         result = cont_mod.solve_continuous(inst)
         row.update(
@@ -266,7 +281,7 @@ def cmd_bench(args) -> None:
         rows.append(_bench_row(instance_id, args.family, inst, args.epsilon))
     if rows:
         rows.extend(_summary_rows(rows))
-    _write_csv(rows, BENCH_FIELDS, args.out)
+    _write_csv(rows, args.out, fieldnames=BENCH_FIELDS)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -22,9 +22,9 @@ from .errors import GuaranteeViolation, InvalidEpsilon
 from .minmax import BoundResult, Instance, g_values, minimize_hmax, rho
 from .policy_eval import ThresholdPolicy
 
-#: Absolute tolerance for declaring two tail moments tied at an anchor point.
-#: Exact closed-form oracles make genuine ties representable; this only
-#: guards float rounding.
+#: Tolerance for declaring two tail moments tied at an anchor point, relative
+#: to mu_max.  Exact closed-form oracles make genuine ties representable; this
+#: only guards float rounding.
 TIE_TOL = 1e-12
 
 #: Relative slack for the internal factor-(2 + epsilon) assertion.
@@ -55,15 +55,18 @@ class TieClass:
 
 
 def tie_class_at(inst: Instance, r_anchor: float, tol: float = TIE_TOL) -> TieClass:
-    """Tie class of the size-k envelope maximizers at r_anchor."""
+    """Tie class of the size-k envelope maximizers at r_anchor.
+
+    Tail moments within tol * mu_max of the k-th largest one are tied.
+    """
     gs = g_values(inst, r_anchor)
     order = sorted(range(inst.n), key=lambda i: (-gs[i], i))
     pivot = gs[order[inst.k - 1]]
     k_minus = inst.k - 1
-    while k_minus > 0 and abs(gs[order[k_minus - 1]] - pivot) <= tol:
+    while k_minus > 0 and abs(gs[order[k_minus - 1]] - pivot) <= tol * inst.mu_max:
         k_minus -= 1
     k_plus = inst.k - 1
-    while k_plus + 1 < inst.n and abs(gs[order[k_plus + 1]] - pivot) <= tol:
+    while k_plus + 1 < inst.n and abs(gs[order[k_plus + 1]] - pivot) <= tol * inst.mu_max:
         k_plus += 1
     return TieClass(
         order=tuple(order),

@@ -38,6 +38,13 @@ TOL_PSI = 1e-4
 #: Minimizer-bracket width for the pipeline, relative to mu_max.
 XI_SCALE = 1e-8
 
+#: Tie tolerance at the approximate minimizer, relative to mu_max.  A genuine
+#: tie at the true minimizer separates by at most twice the bracket width at
+#: the approximate one, so 4x that width keeps every true tie inside the class
+#: while any spurious member changes the envelope value by a comparably
+#: negligible amount.
+CONT_TIE_TOL = TIE_TOL + 4.0 * XI_SCALE
+
 #: Coordinates this close to 0 or 1 are snapped; the survival-sum identity
 #: moves by at most the same amount, far below TOL_PSI.
 _SNAP = 1e-12
@@ -62,7 +69,7 @@ class PsiSolution:
 
 
 def construct_s_minus_plus(
-    inst: Instance, r_star: float, tie_tol: float = TIE_TOL
+    inst: Instance, r_star: float
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Extreme-derivative envelope maximizers at r_star.
 
@@ -72,7 +79,7 @@ def construct_s_minus_plus(
     (minimizing it).  Ties break toward the lowest index.
     """
     _require_continuous(inst)
-    tc = tie_class_at(inst, r_star, tol=tie_tol)
+    tc = tie_class_at(inst, r_star, tol=CONT_TIE_TOL)
     surv = {i: inst.dists[i].survival(r_star) for i in tc.tied}
     lo_first = sorted(tc.tied, key=lambda i: (surv[i], i))[: tc.slots]
     hi_first = sorted(tc.tied, key=lambda i: (-surv[i], i))[: tc.slots]
@@ -110,21 +117,16 @@ def maximize_overlap(
     return tuple(sorted(s_minus)), tuple(sorted(s_plus))
 
 
-def compute_psi_star(
-    inst: Instance,
-    r_star: float,
-    tie_tol: float = TIE_TOL,
-    tol_psi: float = TOL_PSI,
-) -> PsiSolution:
+def compute_psi_star(inst: Instance, r_star: float) -> PsiSolution:
     """Build the calibrated almost-integer solution at r_star.
 
     alpha solves alpha * sum_{S+} P + (1 - alpha) * sum_{S-} P = 1.  When the
-    two sums fail to straddle 1 by at most tol_psi (threshold imprecision),
+    two sums fail to straddle 1 by at most TOL_PSI (threshold imprecision),
     alpha clamps to the nearer endpoint and the solution degrades to an
     integer one; a larger failure raises AlphaOutOfRange.
     """
     _require_continuous(inst)
-    s_minus, s_plus = construct_s_minus_plus(inst, r_star, tie_tol=tie_tol)
+    s_minus, s_plus = construct_s_minus_plus(inst, r_star)
     s_minus, s_plus = maximize_overlap(inst, r_star, s_minus, s_plus)
     p_minus = math.fsum(inst.dists[i].survival(r_star) for i in s_minus)
     p_plus = math.fsum(inst.dists[i].survival(r_star) for i in s_plus)
@@ -138,10 +140,10 @@ def compute_psi_star(
     elif alpha >= 1.0 - _SNAP:
         alpha = 1.0
     achieved = alpha * p_plus + (1.0 - alpha) * p_minus
-    if abs(achieved - 1.0) > tol_psi:
+    if abs(achieved - 1.0) > TOL_PSI:
         raise AlphaOutOfRange(
             f"survival sums {p_minus!r} and {p_plus!r} do not straddle 1 "
-            f"within {tol_psi}; r_star={r_star!r} is too far from a minimizer"
+            f"within {TOL_PSI}; r_star={r_star!r} is too far from a minimizer"
         )
     psi = [0.0] * inst.n
     for i in s_plus:
@@ -224,22 +226,16 @@ class ContinuousResult:
     derandomized_reward: float
 
 
-def solve_continuous(inst: Instance, tol_psi: float = TOL_PSI) -> ContinuousResult:
+def solve_continuous(inst: Instance) -> ContinuousResult:
     """End-to-end pipeline: bound, psi*, policy, statistics, derandomized order.
 
-    The minimizer bracket runs at width 1e-8 * mu_max.  The tie tolerance is
-    widened to 4x that width: a genuine tie at the true minimizer separates
-    by at most twice the bracket width at the approximate one, so this keeps
-    every true tie inside the class while any spurious member changes the
-    envelope value by a comparably negligible amount.  Without a fractional
-    pair the policy is already deterministic, so it is its own
-    derandomization.
+    The minimizer bracket runs at width XI_SCALE * mu_max, and ties at its
+    midpoint use CONT_TIE_TOL.  Without a fractional pair the policy is
+    already deterministic, so it is its own derandomization.
     """
     _require_continuous(inst)
-    xi = XI_SCALE * inst.mu_max
-    bound = minimize_hmax(inst, xi)
-    tie_tol = TIE_TOL + 4.0 * xi
-    sol = compute_psi_star(inst, bound.r_hat, tie_tol=tie_tol, tol_psi=tol_psi)
+    bound = minimize_hmax(inst, XI_SCALE * inst.mu_max)
+    sol = compute_psi_star(inst, bound.r_hat)
     policy, order = build_policy(inst, sol)
     stats = evaluate(policy)
     if sol.frac_pair is None:

@@ -32,6 +32,7 @@ from .errors import (
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi, golden-section shrink factor
 
+#: Bisection width for rho, relative to the subset's mean sum.
 RHO_TOL_SCALE = 1e-12
 
 
@@ -169,7 +170,7 @@ def rho(inst: Instance, subset: Iterable[int]) -> float:
 
     G(., S) is continuous and weakly decreasing from sum of the means down to
     0, so [0, sum of means] brackets the root; bisection refines it to
-    absolute tolerance 1e-12 * (1 + sum of means).
+    width 1e-12 * (sum of means), so the root scales with the instance.
     """
     idx = inst.subset(subset)
     if not idx:
@@ -178,10 +179,12 @@ def rho(inst: Instance, subset: Iterable[int]) -> float:
     mu_sum = math.fsum(d.mean() for d in members)
     if mu_sum <= 0.0:
         raise DegenerateSet("subset with zero total mean has root 0 and no guarantee")
-    tol = RHO_TOL_SCALE * (1.0 + mu_sum)
+    tol = RHO_TOL_SCALE * mu_sum
     lo, hi = 0.0, mu_sum
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break  # a subnormal mean sum rounds tol to 0; stop at one ulp
         if math.fsum(d.g_value(mid) for d in members) > mid:
             lo = mid
         else:

@@ -21,16 +21,14 @@ from probemax import (
     evaluate,
     expected_max_exact_discrete,
     gap2_policy,
-    h_derivative_continuous,
-    h_value,
-    iid_uniform01,
     rho,
     select_gap2_set,
     simulate,
     solve_continuous,
     static_optimum_enum,
 )
-from probemax.instance_io import gen_instance
+from probemax.instance_io import gen_instance, iid_uniform01
+from probemax.minmax import h_derivative_continuous, h_value
 
 E_FLOOR = 1.0 - 1.0 / math.e
 EPSILON = 0.05

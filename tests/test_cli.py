@@ -272,3 +272,25 @@ class TestBench:
             for header, line in ((text.splitlines()[0], l) for l in text.splitlines())
         ]
         assert strip(first) == strip(second)
+
+    def test_too_large_rows_keep_bound_and_gap2_columns(self, capsys):
+        code, out, _ = run_cli(
+            ["bench", "--count", "3", "--family", "discrete",
+             "--n-min", "16", "--n-max", "17"],
+            capsys,
+        )
+        assert code == 0
+        rows = read_rows(out)
+        assert list(rows[0])[-2:] == ["runtime_s", "status"]
+        data = [r for r in rows if r["instance_id"] not in ("min", "mean")]
+        assert len(data) == 3
+        for row in data:
+            assert row["status"] == "too_large"
+            assert float(row["u_star"]) >= float(row["gap2_rho"]) > 0.0
+            assert float(row["gap2_exact_max"]) >= float(row["gap2_rho"])
+            for col in ("a_star", "s_star", "ratio_s_over_a", "ratio_a_over_u",
+                        "ratio_gap2_over_a"):
+                assert row[col] == ""
+        code, out, _ = run_cli(["bench", "--count", "2", "--family", "discrete"], capsys)
+        assert code == 0
+        assert [r["status"] for r in read_rows(out)] == ["ok", "ok", "", ""]

@@ -6,15 +6,9 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from probemax import (
-    DiscreteFinite,
-    Exponential,
-    Mixture,
-    Uniform,
-    ValidationError,
-    ZeroTail,
-    point_mass,
-)
+from probemax import DiscreteFinite, Exponential, Uniform, ValidationError, point_mass
+from probemax.distributions import Mixture
+from probemax.errors import ZeroTail
 from probemax.policy_eval import _draw_values
 
 ATOL = 1e-12

@@ -7,21 +7,18 @@ from conftest import random_discrete_instance
 from probemax import (
     DiscreteFinite,
     Instance,
-    InvalidEpsilon,
     Uniform,
     adaptive_optimum_dp,
-    build_tilde_set,
     evaluate,
     expected_max_exact_discrete,
     gap2_policy,
-    h_max,
-    h_value,
-    narrow_interval,
     point_mass,
     rho,
     select_gap2_set,
-    tie_class_at,
 )
+from probemax.errors import InvalidEpsilon
+from probemax.gap2 import build_tilde_set, narrow_interval, tie_class_at
+from probemax.minmax import h_max, h_value
 
 TWO_UNIFORM = Instance([Uniform(0, 1), Uniform(0, 1)], 2)
 

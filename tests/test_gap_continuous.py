@@ -6,24 +6,24 @@ import pytest
 
 from conftest import random_continuous_instance
 from probemax import (
-    AlphaOutOfRange,
     Instance,
-    Mixture,
-    NotContinuous,
-    PsiSolution,
     Uniform,
-    build_policy,
-    compute_psi_star,
-    construct_s_minus_plus,
-    derandomize,
     evaluate,
-    h_max,
-    h_value,
-    maximize_overlap,
     minimize_hmax,
     point_mass,
     solve_continuous,
 )
+from probemax.distributions import Mixture
+from probemax.errors import AlphaOutOfRange, NotContinuous
+from probemax.gap_continuous import (
+    PsiSolution,
+    build_policy,
+    compute_psi_star,
+    construct_s_minus_plus,
+    derandomize,
+    maximize_overlap,
+)
+from probemax.minmax import h_max, h_value
 
 E_FLOOR = 1.0 - 1.0 / math.e
 

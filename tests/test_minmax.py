@@ -8,22 +8,22 @@ import pytest
 
 from conftest import random_continuous_instance, random_discrete_instance
 from probemax import (
-    DegenerateSet,
     DiscreteFinite,
     Exponential,
-    IndexOutOfRange,
     Instance,
-    InvalidTolerance,
-    NotContinuous,
     Uniform,
     ValidationError,
-    h_derivative_continuous,
-    h_max,
-    h_value,
     minimize_hmax,
     point_mass,
     rho,
 )
+from probemax.errors import (
+    DegenerateSet,
+    IndexOutOfRange,
+    InvalidTolerance,
+    NotContinuous,
+)
+from probemax.minmax import h_derivative_continuous, h_max, h_value
 
 TWO_UNIFORM = Instance([Uniform(0, 1), Uniform(0, 1)], 2)
 
@@ -139,6 +139,11 @@ class TestRho:
         inst = Instance([point_mass(0.6), DiscreteFinite([(0, 0.5), (1, 0.5)])], 1)
         # (0.6 - r) + 0.5 (1 - r) = r for r <= 0.6
         assert rho(inst, [0, 1]) == pytest.approx(0.44, abs=1e-10)
+
+    def test_subnormal_scale_terminates(self):
+        # 1e-12 * 1e-315 rounds to 0, so the width test alone never stops
+        inst = Instance([point_mass(1e-315)], 1)
+        assert rho(inst, [0]) == pytest.approx(0.5e-315, rel=1e-6)
 
     def test_degenerate_set(self):
         inst = Instance([point_mass(0.0), point_mass(1.0)], 1)

@@ -10,8 +10,6 @@ from conftest import random_discrete_instance
 from probemax import (
     DiscreteFinite,
     Instance,
-    InstanceTooLarge,
-    NotDiscrete,
     Uniform,
     adaptive_optimum_dp,
     expected_max_exact_discrete,
@@ -19,6 +17,7 @@ from probemax import (
     point_mass,
     static_optimum_enum,
 )
+from probemax.errors import InstanceTooLarge, NotDiscrete
 
 COIN = DiscreteFinite([(0, 0.5), (1, 0.5)])
 

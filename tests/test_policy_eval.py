@@ -11,8 +11,6 @@ from probemax import (
     DiscreteFinite,
     Exponential,
     Instance,
-    Mixture,
-    NotDiscrete,
     ThresholdPolicy,
     Uniform,
     ValidationError,
@@ -22,6 +20,8 @@ from probemax import (
     rho,
     simulate,
 )
+from probemax.distributions import Mixture
+from probemax.errors import NotDiscrete
 from probemax.policy_eval import bernoulli_count_pmf
 
 
