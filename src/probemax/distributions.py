@@ -14,7 +14,10 @@ the continuous construction).
 from __future__ import annotations
 
 import math
+import sys
 from abc import ABC, abstractmethod
+from bisect import bisect_left
+from itertools import accumulate
 
 import numpy as np
 
@@ -100,14 +103,18 @@ class DiscreteFinite(Distribution):
         merged: dict[float, float] = {}
         for v, p in items:
             merged[v] = merged.get(v, 0.0) + p
-        values = np.array(sorted(merged), dtype=float)
-        probs = np.array([merged[v] for v in values], dtype=float)
-        self.values = values
-        self.probs = probs
-        self._cum = np.cumsum(probs)
-        # Suffix sums make survival and the tail moment O(log n) lookups.
-        self._tail_p = np.concatenate([np.cumsum(probs[::-1])[::-1], [0.0]])
-        self._tail_pv = np.concatenate([np.cumsum((probs * values)[::-1])[::-1], [0.0]])
+        values = sorted(merged)
+        probs = [merged[v] for v in values]
+        self.values = np.array(values, dtype=float)
+        self.probs = np.array(probs, dtype=float)
+        # Suffix sums make survival and the tail moment one bisect each.  They
+        # are Python floats, summed from the top atom down in sequence, so
+        # every bit matches a cumulative sum over the reversed atoms.
+        self._vals = tuple(values)
+        self._tail_p = tuple(accumulate(reversed(probs)))[::-1] + (0.0,)
+        self._tail_pv = tuple(accumulate(
+            p * v for v, p in zip(reversed(values), reversed(probs))
+        ))[::-1] + (0.0,)
 
     def __repr__(self) -> str:
         pairs = ", ".join(f"({v!r}, {p!r})" for v, p in zip(self.values, self.probs))
@@ -123,20 +130,25 @@ class DiscreteFinite(Distribution):
     def mean(self) -> float:
         return float(np.dot(self.values, self.probs))
 
-    def _tail_index(self, r: float) -> int:
-        return int(np.searchsorted(self.values, r, side="left"))
-
     def survival(self, r: float) -> float:
-        idx = self._tail_index(r)
+        idx = bisect_left(self._vals, r)
         if idx == 0:
             return 1.0  # full mass; suffix float sums may fall 1 ulp short
-        return float(self._tail_p[idx])
+        return self._tail_p[idx]
 
     def tail_moment_one(self, r: float) -> float:
-        return float(self._tail_pv[self._tail_index(r)])
+        return self._tail_pv[bisect_left(self._vals, r)]
+
+    def g_value(self, r: float) -> float:
+        # Distribution.g_value with one shared lookup.
+        idx = bisect_left(self._vals, r)
+        s = 1.0 if idx == 0 else self._tail_p[idx]
+        if s <= 0.0:
+            return 0.0
+        return max(self._tail_pv[idx] - r * s, 0.0)
 
     def ppf(self, u):
-        idx = np.searchsorted(self._cum, u, side="right")
+        idx = np.searchsorted(np.cumsum(self.probs), u, side="right")
         idx = np.minimum(idx, len(self.values) - 1)
         return self.values[idx]
 
@@ -179,7 +191,12 @@ class Uniform(Distribution):
         if r >= self.b:
             return 0.0
         # integral of x/(b-a) over [r, b]
-        return (self.b * self.b - r * r) / (2.0 * (self.b - self.a))
+        num = self.b * self.b - r * r
+        if num < sys.float_info.min:
+            # b*b and r*r underflow at tiny scales; this form does not.
+            d = self.b - r
+            return (d / (self.b - self.a)) * (r + 0.5 * d)
+        return num / (2.0 * (self.b - self.a))
 
     def g_value(self, r: float) -> float:
         if r <= self.a:
@@ -187,6 +204,8 @@ class Uniform(Distribution):
         if r >= self.b:
             return 0.0
         d = self.b - r
+        if d * d < sys.float_info.min:
+            return (d / (self.b - self.a)) * (0.5 * d)  # d*d underflows
         return d * d / (2.0 * (self.b - self.a))
 
     def ppf(self, u):

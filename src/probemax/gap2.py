@@ -60,7 +60,7 @@ def tie_class_at(inst: Instance, r_anchor: float, tol: float = TIE_TOL) -> TieCl
     Tail moments within tol * mu_max of the k-th largest one are tied.
     """
     gs = g_values(inst, r_anchor)
-    order = sorted(range(inst.n), key=lambda i: (-gs[i], i))
+    order = sorted(range(inst.n), key=gs.__getitem__, reverse=True)  # stable: ties by index
     pivot = gs[order[inst.k - 1]]
     k_minus = inst.k - 1
     while k_minus > 0 and abs(gs[order[k_minus - 1]] - pivot) <= tol * inst.mu_max:
@@ -109,7 +109,8 @@ def build_tilde_set(inst: Instance, r_anchor: float, r_probe: float) -> tuple[in
     """
     tc = tie_class_at(inst, r_anchor)
     gs_probe = g_values(inst, r_probe)
-    fill = sorted(tc.tied, key=lambda i: (-gs_probe[i], i))[: tc.slots]
+    # tc.tied is in anchor order; index order first lets the stable sort break ties.
+    fill = sorted(sorted(tc.tied), key=gs_probe.__getitem__, reverse=True)[: tc.slots]
     return tuple(sorted(tc.prefix + tuple(fill)))
 
 

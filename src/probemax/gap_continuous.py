@@ -80,9 +80,10 @@ def construct_s_minus_plus(
     """
     _require_continuous(inst)
     tc = tie_class_at(inst, r_star, tol=CONT_TIE_TOL)
-    surv = {i: inst.dists[i].survival(r_star) for i in tc.tied}
-    lo_first = sorted(tc.tied, key=lambda i: (surv[i], i))[: tc.slots]
-    hi_first = sorted(tc.tied, key=lambda i: (-surv[i], i))[: tc.slots]
+    tied = sorted(tc.tied)  # index order, so the stable sorts below break ties by index
+    surv = {i: inst.dists[i].survival(r_star) for i in tied}
+    lo_first = sorted(tied, key=surv.__getitem__)[: tc.slots]
+    hi_first = sorted(tied, key=surv.__getitem__, reverse=True)[: tc.slots]
     s_minus = tuple(sorted(tc.prefix + tuple(lo_first)))
     s_plus = tuple(sorted(tc.prefix + tuple(hi_first)))
     return s_minus, s_plus

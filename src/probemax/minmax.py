@@ -112,10 +112,10 @@ def h_max(inst: Instance, r: float) -> tuple[float, tuple[int, ...]]:
     """Upper envelope H_max(r) and a witnessing size-k subset.
 
     The maximizer picks the k largest G_i(r); ties break toward the lowest
-    index so results are reproducible.
+    index so results are reproducible (the sort is stable under reverse).
     """
     gs = g_values(inst, r)
-    order = sorted(range(inst.n), key=lambda i: (-gs[i], i))
+    order = sorted(range(inst.n), key=gs.__getitem__, reverse=True)
     top = order[: inst.k]
     value = r + math.fsum(gs[i] for i in top)
     return value, tuple(sorted(top))
@@ -128,11 +128,17 @@ def minimize_hmax(inst: Instance, xi_target: float) -> BoundResult:
     stops shrinking at floating-point resolution; the returned interval
     contains a minimizer because H_max is convex.  Runs
     O(log(n * mu_max / xi_target)) envelope evaluations.  Raises
-    ValidationError when the bound overflows to a non-finite value.
+    ValidationError when the bracket or the bound overflows to a non-finite
+    value.
     """
     if not (isinstance(xi_target, (int, float)) and math.isfinite(xi_target)) or xi_target <= 0.0:
         raise InvalidTolerance(f"xi_target={xi_target!r} must be a positive real")
     lo, hi = 0.0, inst.n * inst.mu_max
+    if not math.isfinite(hi):
+        raise ValidationError(
+            f"search bracket n * mu_max = {hi!r} overflows; "
+            "the variables' values exceed the floating-point range"
+        )
     iterations = 0
     if hi - lo > xi_target:
         c = hi - INV_PHI * (hi - lo)

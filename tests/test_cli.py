@@ -294,3 +294,54 @@ class TestBench:
         code, out, _ = run_cli(["bench", "--count", "2", "--family", "discrete"], capsys)
         assert code == 0
         assert [r["status"] for r in read_rows(out)] == ["ok", "ok", "", ""]
+
+
+class TestExtremeScales:
+    """Valid inputs near the ends of the float range: an answer or a clean exit 1."""
+
+    TINY_TEXT = "k 2\ndist uniform a 0 b 1e-200\ndist uniform a 0 b 2e-200\n"
+    UNIT_TEXT = "k 2\ndist uniform a 0 b 1\ndist uniform a 0 b 2\n"
+
+    def _run(self, tmp_path, capsys, command, text):
+        path = tmp_path / "inst.txt"
+        path.write_text(text)
+        code, out, err = run_cli([command, str(path)], capsys)
+        assert code == 0, err
+        return read_rows(out)[0]
+
+    def test_tiny_uniforms_bound(self, tmp_path, capsys):
+        row = self._run(tmp_path, capsys, "bound", self.TINY_TEXT)
+        unit = self._run(tmp_path, capsys, "bound", self.UNIT_TEXT)
+        assert float(row["u_star"]) >= 1e-200  # mu_max
+        assert float(row["u_star"]) == pytest.approx(float(unit["u_star"]) * 1e-200, rel=1e-12)
+
+    def test_tiny_uniforms_gap2(self, tmp_path, capsys):
+        row = self._run(tmp_path, capsys, "gap2", self.TINY_TEXT)
+        unit = self._run(tmp_path, capsys, "gap2", self.UNIT_TEXT)
+        assert float(row["u_star"]) >= 1e-200
+        for col in ("chosen", "s_tilde_plus", "s_tilde_minus"):
+            assert row[col] == unit[col]
+        assert float(row["threshold"]) == pytest.approx(float(unit["threshold"]) * 1e-200,
+                                                        rel=1e-12)
+
+    def test_tiny_uniforms_gapcont(self, tmp_path, capsys):
+        row = self._run(tmp_path, capsys, "gap-cont", self.TINY_TEXT)
+        unit = self._run(tmp_path, capsys, "gap-cont", self.UNIT_TEXT)
+        assert float(row["u_star"]) >= 1e-200
+        for col in ("derandomized_set", "derandomized_order", "frac_pair"):
+            assert row[col] == unit[col]
+        assert float(row["expected_reward"]) == pytest.approx(
+            float(unit["expected_reward"]) * 1e-200, rel=1e-12)
+
+    @pytest.mark.parametrize("command", ["bound", "gap2"])
+    def test_overflowing_search_bracket_exit_code(self, tmp_path, capsys, command):
+        path = tmp_path / "huge.inst"
+        path.write_text(
+            "k 1\n"
+            "dist discrete values 1e308 probs 1.0\n"
+            "dist discrete values 1.5e308 probs 1.0\n"
+            "dist discrete values 1e308 probs 1.0\n"
+        )
+        code, out, err = run_cli([command, str(path)], capsys)
+        assert code == 1
+        assert out == "" and "overflows" in err and "search bracket" in err

@@ -250,3 +250,15 @@ class TestInvariants:
         for r in rng.uniform(-1, 12, 20):
             direct = math.fsum(p * (v - r) for v, p in atoms if v >= r)
             assert abs(d.g_value(r) - direct) <= ATOL
+
+
+class TestUniformTinyScale:
+    """Closed forms stay exact-to-rounding where b*b or (b-r)**2 underflows."""
+
+    @pytest.mark.parametrize("t", [0.0, 0.1, 0.5, 0.9, 0.999])
+    def test_scaled_oracles_match_unit_scale(self, t):
+        unit, tiny = Uniform(0.5, 2.0), Uniform(0.5e-200, 2.0e-200)
+        r = 0.5 + 1.5 * t
+        assert tiny.g_value(r * 1e-200) == pytest.approx(unit.g_value(r) * 1e-200, rel=1e-14)
+        assert tiny.tail_moment_one(r * 1e-200) == pytest.approx(
+            unit.tail_moment_one(r) * 1e-200, rel=1e-14)

@@ -1,0 +1,150 @@
+"""Property tests: the fast scalar paths equal their reference forms bit for bit.
+
+``DiscreteFinite`` answers ``survival``, ``tail_moment_one`` and ``g_value``
+with one ``bisect`` over suffix sums held as Python floats; the reference
+kept here is the numpy form (``np.searchsorted`` over ``np.cumsum`` suffix
+arrays).  The envelope and tie-class sorts use a key-only sort that stays
+stable under ``reverse=True``; the reference is the explicit ``(-g, i)`` key.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from probemax import DiscreteFinite, Instance, Uniform, point_mass
+from probemax.gap2 import build_tilde_set, tie_class_at
+from probemax.gap_continuous import CONT_TIE_TOL, construct_s_minus_plus
+from probemax.minmax import h_max
+
+SETTINGS = settings(max_examples=200, deadline=None)
+
+# A small grid makes duplicate values (merged atoms) and tied G values common.
+GRID = (0.0, -0.0, 0.5, 1.0, 2.5, 3.0, 1e-300, 1e300)
+VALUES = st.one_of(
+    st.sampled_from(GRID),
+    st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False),
+)
+# Values a few ulps of the tie tolerance apart: a tie class then holds
+# unequal G values, so its members are not in index order.
+NEAR_TIES = st.sampled_from((0.0, 0.5, 1.0, 1.0 + 1e-13, 1.0 + 3e-13, 2.5))
+
+
+class SearchsortedReference:
+    """The numpy suffix-sum oracles of a discrete distribution."""
+
+    def __init__(self, d: DiscreteFinite) -> None:
+        probs, values = d.probs, d.values
+        self.values = values
+        self.tail_p = np.concatenate([np.cumsum(probs[::-1])[::-1], [0.0]])
+        self.tail_pv = np.concatenate([np.cumsum((probs * values)[::-1])[::-1], [0.0]])
+
+    def _index(self, r: float) -> int:
+        return int(np.searchsorted(self.values, r, side="left"))
+
+    def survival(self, r: float) -> float:
+        idx = self._index(r)
+        return 1.0 if idx == 0 else float(self.tail_p[idx])
+
+    def tail_moment_one(self, r: float) -> float:
+        return float(self.tail_pv[self._index(r)])
+
+    def g_value(self, r: float) -> float:
+        s = self.survival(r)
+        if s <= 0.0:
+            return 0.0
+        return max(self.tail_moment_one(r) - r * s, 0.0)
+
+
+@st.composite
+def discrete(draw, max_atoms=6, values=VALUES):
+    values = draw(st.lists(values, min_size=1, max_size=max_atoms))
+    weights = draw(st.lists(st.integers(1, 10), min_size=len(values), max_size=len(values)))
+    total = sum(weights)
+    return DiscreteFinite([(v, w / total) for v, w in zip(values, weights)])
+
+
+def probe_points(d: DiscreteFinite) -> list[float]:
+    """Points at, between, just beside, below and above the atoms."""
+    vals = d.values.tolist()
+    points = [-0.0, 0.0, -1.0, vals[0] - 1.0, vals[-1] + 1.0, vals[-1] * 2.0]
+    for v in vals:
+        points += [v, math.nextafter(v, -math.inf), math.nextafter(v, math.inf)]
+    points += [0.5 * (a + b) for a, b in zip(vals, vals[1:])]
+    return points
+
+
+def bits(x) -> str:
+    assert type(x) is float
+    return x.hex()
+
+
+@SETTINGS
+@given(discrete(), st.floats(allow_nan=False, allow_infinity=False))
+def test_discrete_oracles_match_searchsorted(d, extra):
+    ref = SearchsortedReference(d)
+    for r in probe_points(d) + [extra]:
+        assert bits(d.survival(r)) == bits(ref.survival(r)), r
+        assert bits(d.tail_moment_one(r)) == bits(ref.tail_moment_one(r)), r
+        assert bits(d.g_value(r)) == bits(ref.g_value(r)), r
+
+
+def reference_order(gs: list[float]) -> list[int]:
+    return sorted(range(len(gs)), key=lambda i: (-gs[i], i))
+
+
+@st.composite
+def tied_point_masses(draw):
+    """Point masses on a tiny grid, one positive; G at 0 is the value itself."""
+    values = draw(st.lists(st.sampled_from((0.0, -0.0, 1.0, 2.0, 3.0)), min_size=1, max_size=30))
+    values.insert(draw(st.integers(0, len(values))), 2.0)
+    k = draw(st.integers(1, len(values)))
+    return Instance([point_mass(v) for v in values], k)
+
+
+@SETTINGS
+@given(tied_point_masses(), st.sampled_from((0.0, -0.0, 0.5, 1.0, 2.0, 2.5)))
+def test_envelope_and_tie_class_sort_like_the_index_key(inst, r):
+    gs = [d.g_value(r) for d in inst.dists]
+    order = reference_order(gs)
+    value, top = h_max(inst, r)
+    assert top == tuple(sorted(order[: inst.k]))
+    assert bits(value) == bits(r + math.fsum(gs[i] for i in order[: inst.k]))
+    assert tie_class_at(inst, r).order == tuple(order)
+
+
+@SETTINGS
+@given(
+    st.lists(discrete(max_atoms=2, values=NEAR_TIES), min_size=1, max_size=12).filter(
+        lambda ds: max(d.mean() for d in ds) > 0.0),
+    st.data(),
+)
+def test_tilde_set_fills_slots_like_the_index_key(dists, data):
+    inst = Instance(dists, data.draw(st.integers(1, len(dists))))
+    r_anchor = data.draw(st.sampled_from((0.0, 0.5, 1.0, 2.5)))
+    r_probe = data.draw(st.sampled_from((0.0, 0.75, 1.0, 3.0)))
+    tc = tie_class_at(inst, r_anchor)
+    gs_probe = [d.g_value(r_probe) for d in inst.dists]
+    fill = sorted(tc.tied, key=lambda i: (-gs_probe[i], i))[: tc.slots]
+    assert build_tilde_set(inst, r_anchor, r_probe) == tuple(sorted(tc.prefix + tuple(fill)))
+
+
+@SETTINGS
+@given(
+    # Means 1e-9 apart tie within CONT_TIE_TOL without being equal.
+    st.lists(st.tuples(st.sampled_from((0.0, 0.25, 0.25 + 1e-9, 0.5)),
+                       st.sampled_from((1.0, 1.0 + 2e-9, 1.5, 2.0))),
+             min_size=1, max_size=12),
+    st.data(),
+)
+def test_s_minus_plus_fill_slots_like_the_index_key(ends, data):
+    inst = Instance([Uniform(a, b) for a, b in ends], data.draw(st.integers(1, len(ends))))
+    r_star = data.draw(st.sampled_from((0.0, 0.25, 0.75, 1.25)))
+    tc = tie_class_at(inst, r_star, tol=CONT_TIE_TOL)
+    surv = {i: inst.dists[i].survival(r_star) for i in tc.tied}
+    lo_first = sorted(tc.tied, key=lambda i: (surv[i], i))[: tc.slots]
+    hi_first = sorted(tc.tied, key=lambda i: (-surv[i], i))[: tc.slots]
+    s_minus, s_plus = construct_s_minus_plus(inst, r_star)
+    assert s_minus == tuple(sorted(tc.prefix + tuple(lo_first)))
+    assert s_plus == tuple(sorted(tc.prefix + tuple(hi_first)))

@@ -1,0 +1,105 @@
+"""Golden outputs: the constructions reproduce a committed snapshot bit for bit.
+
+``tests/data/golden.json`` holds, for seeded ``gen_instance`` instances of
+all four families: the ``gap2`` sets, root thresholds, ``u_star`` and search
+steps; the continuous pipeline's inspection order, rewards and ``alpha``;
+the five ``evaluate`` statistics (of the ``gap2`` policy for discrete
+instances, of the continuous policy otherwise); and the exact oracles for
+discrete instances with n <= 11.  Floats are stored as ``float.hex``, so a change in
+any last bit fails.  A change that is meant to move outputs regenerates the
+snapshot with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from probemax import (
+    adaptive_optimum_dp,
+    evaluate,
+    expected_max_exact_discrete,
+    gap2_policy,
+    gen_instance,
+    select_gap2_set,
+    solve_continuous,
+    static_optimum_enum,
+)
+
+SNAPSHOT = Path(__file__).parent / "data" / "golden.json"
+
+#: (family, seed count, largest n); seeds run from 0, n and k are seeded.
+PLAN = (("discrete", 60, 11), ("uniform", 30, 25), ("exponential", 30, 25), ("mixed", 30, 25))
+
+CASES = [(family, seed, n_max) for family, count, n_max in PLAN for seed in range(count)]
+
+
+def _enc(x):
+    """JSON form: floats as float.hex, sequences as lists."""
+    if isinstance(x, dict):
+        return {k: _enc(v) for k, v in x.items()}
+    if isinstance(x, float):
+        return x.hex()
+    if isinstance(x, (tuple, list)):
+        return [_enc(v) for v in x]
+    return x
+
+
+def _stats(stats):
+    return [stats.expected_reward, stats.expected_b, stats.prob_stop,
+            stats.expected_sum, stats.expected_excess]
+
+
+def golden_record(family: str, seed: int, n_max: int) -> dict:
+    """Every compared output for one seeded instance, JSON-encoded."""
+    rng = np.random.default_rng(10_000 + seed)
+    n = int(rng.integers(2, n_max + 1))
+    k = int(rng.integers(1, n + 1))
+    inst = gen_instance(n, k, family, seed)
+    res = select_gap2_set(inst)
+    rec = {
+        "n": n, "k": k,
+        "gap2": [res.s_tilde_plus, res.s_tilde_minus, res.chosen, res.rho_plus,
+                 res.rho_minus, res.bound.u_star, res.bound.iterations],
+    }
+    if family == "discrete":
+        rec["stats"] = _stats(evaluate(gap2_policy(res)))
+        s_star, s_set = static_optimum_enum(inst)
+        rec["exact"] = [adaptive_optimum_dp(inst), s_star, s_set,
+                        expected_max_exact_discrete(inst.dists, res.chosen)]
+    else:
+        cont = solve_continuous(inst)
+        sol = cont.solution
+        rec["stats"] = _stats(cont.stats)
+        rec["cont"] = [cont.bound.r_hat, cont.bound.u_star, sol.alpha, sol.frac_pair,
+                       cont.derandomized_order, cont.derandomized_reward]
+    return _enc(rec)
+
+
+def _key(family: str, seed: int) -> str:
+    return f"{family}-{seed}"
+
+
+@pytest.fixture(scope="module")
+def snapshot():
+    return json.loads(SNAPSHOT.read_text())
+
+
+@pytest.mark.parametrize("family,seed,n_max", CASES, ids=[_key(f, s) for f, s, _ in CASES])
+def test_matches_snapshot(snapshot, family, seed, n_max):
+    assert golden_record(family, seed, n_max) == snapshot[_key(family, seed)]
+
+
+def test_snapshot_covers_exactly_the_cases(snapshot):
+    assert sorted(snapshot) == sorted(_key(f, s) for f, s, _ in CASES)
+
+
+if __name__ == "__main__":
+    records = {_key(f, s): golden_record(f, s, n) for f, s, n in CASES}
+    SNAPSHOT.parent.mkdir(exist_ok=True)
+    lines = ",\n".join(f"{json.dumps(key)}: {json.dumps(rec, separators=(',', ':'))}"
+                       for key, rec in records.items())
+    SNAPSHOT.write_text("{\n" + lines + "\n}\n")
