@@ -25,7 +25,6 @@ from .errors import (
     GuaranteeViolation,
     InstanceTooLarge,
     ProbemaxError,
-    SwapStall,
     ValidationError,
 )
 from .instance_io import (
@@ -352,12 +351,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once: every parser holds a few hundred objects in reference cycles,
+# which only the cyclic garbage collector frees.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         args.func(args)
-    except (GuaranteeViolation, SwapStall) as exc:
+    except GuaranteeViolation as exc:
         print(f"internal guarantee violation: {exc}", file=sys.stderr)
         return 2
     except ProbemaxError as exc:

@@ -45,10 +45,6 @@ class GuaranteeViolation(ProbemaxError):
     """A proven inequality failed beyond numerical tolerance (internal bug)."""
 
 
-class SwapStall(ProbemaxError):
-    """Overlap-maximizing swap loop failed to make progress (internal bug)."""
-
-
 class AlphaOutOfRange(ProbemaxError):
     """Mixing-weight equation has no solution within tolerance.
 

@@ -9,8 +9,10 @@ whose survival probabilities are calibrated to exactly one expected hit:
 
 psi* is built from two envelope-achieving sets: among the maximizers at r*,
 S- maximizes d/dr H(r*, .) (so its derivative is >= 0) and S+ minimizes it
-(derivative <= 0); after a swap loop raises their overlap to k-1, a mixing
-weight alpha places the blended survival sum exactly at 1.
+(derivative <= 0).  Sliding a window from S- to S+ one member at a time
+passes through envelope maximizers that overlap in k-1, and the adjacent
+pair at the derivative's sign change replaces S- and S+; a mixing weight
+alpha then places the blended survival sum exactly at 1.
 
 The resulting policy inspects the psi-support in weakly-decreasing
 conditional tail expectation, treating the fractional pair as a two-way
@@ -27,9 +29,9 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .distributions import Distribution, Mixture
-from .errors import AlphaOutOfRange, NotContinuous, SwapStall
+from .errors import AlphaOutOfRange, NotContinuous
 from .gap2 import TIE_TOL, tie_class_at
-from .minmax import BoundResult, Instance, h_derivative_continuous, minimize_hmax
+from .minmax import BoundResult, Instance, minimize_hmax
 from .policy_eval import PolicyStats, ThresholdPolicy, evaluate
 
 #: Tolerance on fractional-solution identities (survival sums, alpha clamping).
@@ -95,27 +97,44 @@ def maximize_overlap(
     s_minus: Iterable[int],
     s_plus: Iterable[int],
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Swap elements between the two sets until they overlap in >= k-1.
+    """Two envelope maximizers overlapping in >= k-1 whose derivatives straddle 0.
 
-    Each swap moves one exclusive element of the first set into the second;
-    the derivative sign of the swapped set decides which of the two roles it
-    takes over, so the sign conditions survive every iteration.
+    The d members only s_minus holds, then the d only s_plus holds, each
+    sorted by (survival at r_star, index), form a row; window j is the shared
+    members plus row[j : j + d].  Window 0 is s_minus, window d is s_plus,
+    adjacent windows overlap in k-1, and every window is an envelope
+    maximizer when both inputs are.  Bisection keeps "survival sum <= 1"
+    (derivative >= 0) true at its low end and false at its high end, in at
+    most ceil(log2(d)) + 1 sign tests, and returns the adjacent pair at the
+    sign change: the first two windows if every derivative is negative, the
+    last two if none is.  With d <= 1 the inputs come back unchanged.
     """
-    s_minus = set(inst.subset(s_minus))
-    s_plus = set(inst.subset(s_plus))
-    k = inst.k
-    while len(s_minus & s_plus) <= k - 2:
-        before = len(s_minus & s_plus)
-        i_minus = min(s_minus - s_plus)
-        i_plus = min(s_plus - s_minus)
-        swapped = (s_plus - {i_plus}) | {i_minus}
-        if h_derivative_continuous(inst, r_star, swapped) >= 0.0:
-            s_minus = swapped  # overlaps s_plus in exactly k-1 elements
+    s_minus = inst.subset(s_minus)
+    s_plus = inst.subset(s_plus)
+    shared = set(s_minus) & set(s_plus)
+    d = len(s_minus) - len(shared)
+    if d <= 1:
+        return s_minus, s_plus
+
+    def by_survival(members):
+        return sorted((inst.dists[i].survival(r_star), i) for i in members)
+
+    row = by_survival(set(s_minus) - shared) + by_survival(set(s_plus) - shared)
+    row_surv = [p for p, _ in row]
+    shared_surv = [inst.dists[i].survival(r_star) for i in shared]
+
+    def window(j: int) -> tuple[int, ...]:
+        return tuple(sorted(shared.union(i for _, i in row[j : j + d])))
+
+    lo, hi = -1, d + 1  # virtual windows beyond both ends pass and fail the test
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if math.fsum(shared_surv + row_surv[mid : mid + d]) <= 1.0:
+            lo = mid
         else:
-            s_plus = swapped
-        if len(s_minus & s_plus) <= before:
-            raise SwapStall("overlap failed to grow; swap loop is buggy")
-    return tuple(sorted(s_minus)), tuple(sorted(s_plus))
+            hi = mid
+    lo = min(max(lo, 0), d - 1)
+    return window(lo), window(lo + 1)
 
 
 def compute_psi_star(inst: Instance, r_star: float) -> PsiSolution:

@@ -182,7 +182,13 @@ def rho(inst: Instance, subset: Iterable[int]) -> float:
     if not idx:
         raise DegenerateSet("empty subset has no root threshold")
     members = [inst.dists[i] for i in idx]
-    mu_sum = math.fsum(d.mean() for d in members)
+    try:
+        mu_sum = math.fsum(d.mean() for d in members)
+    except OverflowError:
+        raise ValidationError(
+            "mean sum of the subset overflows; "
+            "the variables' values exceed the floating-point range"
+        ) from None
     if mu_sum <= 0.0:
         raise DegenerateSet("subset with zero total mean has root 0 and no guarantee")
     tol = RHO_TOL_SCALE * mu_sum

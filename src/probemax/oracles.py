@@ -4,7 +4,8 @@ The adaptive optimum comes from the exact dynamic program over states
 (remaining probes, best value seen, unprobed set); the best-seen coordinate
 only ever equals 0 or a realized support value, so the state space is finite
 for discrete instances with no discretization error.  The static optimum
-enumerates every size-k subset.
+enumerates every size-k subset of a discrete instance and scores each one
+exactly.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Iterable
 from .distributions import DiscreteFinite
 from .errors import InstanceTooLarge, NotDiscrete
 from .minmax import Instance
-from .policy_eval import _draw_values, expected_max_exact_discrete
+from .policy_eval import expected_max_exact_discrete
 
 MAX_DP_STATES = 5_000_000
 MAX_ENUM_SUBSETS = 100_000
@@ -69,36 +70,29 @@ def adaptive_optimum_dp(inst: Instance, max_states: int = MAX_DP_STATES) -> floa
         memo[key] = value
         return value
 
-    return best(inst.k, 0.0, (1 << inst.n) - 1)
+    value = best(inst.k, 0.0, (1 << inst.n) - 1)
+    # `best` refers to itself, so without this only the cyclic garbage
+    # collector would free the memo, and its peak memory would depend on when
+    # that collector runs.
+    memo.clear()
+    return value
 
 
 def static_optimum_enum(
-    inst: Instance,
-    trials: int = 100_000,
-    seed: int = 0,
-    max_subsets: int = MAX_ENUM_SUBSETS,
+    inst: Instance, max_subsets: int = MAX_ENUM_SUBSETS
 ) -> tuple[float, tuple[int, ...]]:
-    """Best size-k subset by exhaustive enumeration.
+    """Best size-k subset of a discrete instance by exhaustive enumeration.
 
-    Discrete instances are scored exactly; otherwise every subset is scored
-    by Monte Carlo on one shared sample matrix (common random numbers) drawn
-    from the simulator's counter-based stream, so subset comparisons share
-    their noise.  Ties keep the lexicographically first witness.
+    Every subset is scored by its exact expected maximum; ties keep the
+    lexicographically first witness.
     """
+    _require_discrete(inst)
     total = math.comb(inst.n, inst.k)
     if total > max_subsets:
         raise InstanceTooLarge(f"{total} subsets exceed budget {max_subsets}")
-    all_discrete = all(isinstance(d, DiscreteFinite) for d in inst.dists)
-    if all_discrete:
-        def score(subset):
-            return expected_max_exact_discrete(inst.dists, subset)
-    else:
-        samples = _draw_values(inst.dists, seed, 0, trials)
-        def score(subset):
-            return float(samples[:, subset].max(axis=1).mean())
     best_value, best_subset = -math.inf, None
     for subset in combinations(range(inst.n), inst.k):
-        value = score(list(subset))
+        value = expected_max_exact_discrete(inst.dists, subset)
         if value > best_value:
             best_value, best_subset = value, subset
     return best_value, tuple(best_subset)

@@ -96,7 +96,13 @@ def evaluate(policy: ThresholdPolicy) -> PolicyStats:
     expected_reward = math.fsum(reward_terms)
     expected_b = math.fsum(ps)
     prob_stop = 1.0 - miss
-    expected_sum = math.fsum(pcs)
+    try:
+        expected_sum = math.fsum(pcs)
+    except OverflowError:
+        raise ValidationError(
+            "expected sum of the tail moments E[X 1{X >= threshold}] overflows; "
+            "the variables' values exceed the floating-point range"
+        ) from None
     pmf = bernoulli_count_pmf(ps)
     expected_excess = math.fsum((b - 1) * m for b, m in enumerate(pmf) if b >= 2)
     return PolicyStats(

@@ -1,5 +1,6 @@
 """Command-line interface tests: parsing, round trips, commands, exit codes."""
 
+import argparse
 import csv
 import io
 import math
@@ -345,3 +346,40 @@ class TestExtremeScales:
         code, out, err = run_cli([command, str(path)], capsys)
         assert code == 1
         assert out == "" and "overflows" in err and "search bracket" in err
+
+    @pytest.mark.parametrize(
+        "command, extra, overflowing",
+        [
+            ("eval", ["--threshold", "0.5"], "expected sum of the tail moments"),
+            ("simulate", [], "mean sum of the subset"),
+        ],
+    )
+    def test_overflowing_sum_exit_code(self, tmp_path, capsys, command, extra, overflowing):
+        path = tmp_path / "huge.inst"
+        path.write_text(
+            "k 2\n"
+            "dist discrete values 1.5e308 probs 1.0\n"
+            "dist discrete values 1.5e308 probs 1.0\n"
+        )
+        code, out, err = run_cli([command, str(path), "--indices", "1,2", *extra], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert overflowing in err and "overflows" in err
+
+
+def test_main_reuses_one_parser(monkeypatch, tmp_path, capsys):
+    path = tmp_path / "gen.inst"
+    argv = ["gen", "--n", "3", "--k", "1", "--family", "uniform", "--out", str(path)]
+    assert main(argv) == 0
+    built = []
+    original = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(argv) == 0
+    assert run_cli(["bound", str(path)], capsys)[0] == 0
+    assert built == []

@@ -1,8 +1,11 @@
 """Tests for the continuous pipeline: psi*, threshold policy, derandomization."""
 
 import math
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_continuous_instance
 from probemax import (
@@ -16,6 +19,8 @@ from probemax import (
 from probemax.distributions import Mixture
 from probemax.errors import AlphaOutOfRange, NotContinuous
 from probemax.gap_continuous import (
+    CONT_TIE_TOL,
+    TOL_PSI,
     PsiSolution,
     build_policy,
     compute_psi_star,
@@ -267,3 +272,63 @@ class TestPipeline:
         inst = Instance([point_mass(1.0), Uniform(0, 1)], 1)
         with pytest.raises(NotContinuous):
             solve_continuous(inst)
+
+
+# Survivals at R_TIE on a coarse grid, so survival ties are common too.
+R_TIE = 8.0
+SURVIVALS = st.sampled_from((0.1, 0.125, 0.2, 0.25, 0.4, 0.5, 1.0))
+
+
+@st.composite
+def tie_heavy(draw):
+    """Uniforms whose G at R_TIE takes one of three values, most of them tied.
+
+    The larger value forms a forced prefix, the middle one the tie class and
+    the smaller one the members no maximizer takes.
+    """
+    sizes = [draw(st.integers(0, 3)), draw(st.integers(1, 14)), draw(st.integers(0, 4))]
+    dists = [
+        uniform_through(R_TIE, g, draw(SURVIVALS))
+        for g, size in zip((0.04, 0.02, 0.01), sizes)
+        for _ in range(size)
+    ]
+    dists = draw(st.permutations(dists))
+    # a few members' survivals sum to about 1, so straddling pairs are common
+    return Instance(dists, draw(st.integers(1, min(len(dists), 8))))
+
+
+def survival_sum(inst, subset):
+    return math.fsum(inst.dists[i].survival(R_TIE) for i in subset)
+
+
+@settings(max_examples=400, deadline=None)
+@given(tie_heavy())
+def test_window_pair_on_tie_heavy_instances(inst):
+    s_minus, s_plus = construct_s_minus_plus(inst, R_TIE)
+    with mock.patch("math.fsum", wraps=math.fsum) as fsum:
+        lo, hi = maximize_overlap(inst, R_TIE, s_minus, s_plus)
+    d = len(set(s_minus) - set(s_plus))
+    assert fsum.call_count <= (0 if d <= 1 else (d - 1).bit_length() + 1)
+    assert len(lo) == len(hi) == inst.k
+    assert len(set(lo) & set(hi)) >= inst.k - 1
+
+    envelope = h_max(inst, R_TIE)[0]
+    for subset in (lo, hi):
+        assert abs(h_value(inst, R_TIE, subset) - envelope) <= inst.k * CONT_TIE_TOL * inst.mu_max
+
+    p_minus, p_plus = survival_sum(inst, s_minus), survival_sum(inst, s_plus)
+    if p_minus <= 1.0 < p_plus:
+        assert survival_sum(inst, lo) <= 1.0 < survival_sum(inst, hi)
+    if p_minus > 1.0:
+        assert lo == s_minus
+    if p_plus <= 1.0:
+        assert hi == s_plus
+
+    if p_minus - 1.0 > TOL_PSI or 1.0 - p_plus > TOL_PSI:
+        with pytest.raises(AlphaOutOfRange):
+            compute_psi_star(inst, R_TIE)
+        return
+    sol = compute_psi_star(inst, R_TIE)
+    assert (sol.s_minus, sol.s_plus) == (lo, hi)
+    assert math.fsum(sol.psi) == pytest.approx(inst.k, abs=1e-9)
+    assert sum(1 for w in sol.psi if 0.0 < w < 1.0) <= 2
