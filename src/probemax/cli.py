@@ -267,6 +267,8 @@ def _summary_rows(rows: list[dict]) -> list[dict]:
 def cmd_bench(args) -> None:
     if args.n_min < 1 or args.n_max < args.n_min:
         raise ValidationError(f"bad size range [{args.n_min}, {args.n_max}]")
+    if args.seed < 0:
+        raise ValidationError(f"seed {args.seed!r} must be non-negative")
     rows = []
     for instance_id in range(args.count):
         seed = args.seed + instance_id

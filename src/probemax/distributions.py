@@ -2,9 +2,10 @@
 
 Every family exposes the two oracles all downstream constructions rely on,
 the inclusive survival probability P(X >= r) and the conditional tail
-expectation E[X | X >= r], plus the tail moment E[(X - r)^+] and inverse-CDF
-sampling.  All oracle values are closed-form; no quadrature is involved, so
-numerical error budgets downstream are dominated by search tolerances.
+expectation E[X | X >= r], plus the tail moment E[(X - r)^+] and `draw`,
+which maps one uniform to one sample.  All oracle values are closed-form; no
+quadrature is involved, so numerical error budgets downstream are dominated
+by search tolerances.
 
 Supported families: finite discrete, uniform, exponential, and a two-way
 mixture that nests at most one level deep (used for the fractional pair in
@@ -24,6 +25,7 @@ import numpy as np
 from .errors import ValidationError, ZeroTail
 
 PROB_SUM_TOL = 1e-12
+_BELOW_ONE = np.nextafter(1.0, 0.0)
 
 
 class Distribution(ABC):
@@ -45,8 +47,8 @@ class Distribution(ABC):
         """E[X * 1{X >= r}]."""
 
     @abstractmethod
-    def ppf(self, u):
-        """Inverse CDF, vectorized over u in [0, 1)."""
+    def draw(self, u):
+        """Map uniforms u in [0, 1) to samples, one each; vectorized."""
 
     def cond_exp_ge(self, r: float) -> float:
         """E[X | X >= r].
@@ -68,15 +70,6 @@ class Distribution(ABC):
         if s <= 0.0:
             return 0.0
         return max(self.tail_moment_one(r) - r * s, 0.0)
-
-    def draw(self, coin, u):
-        """Map a (coin, value) pair of uniforms to a sample; vectorized.
-
-        Simple families ignore the coin.  The fixed two-uniform layout keeps
-        the Monte-Carlo stream position identical for plain and mixture
-        entries.
-        """
-        return self.ppf(u)
 
 
 class DiscreteFinite(Distribution):
@@ -147,7 +140,7 @@ class DiscreteFinite(Distribution):
             return 0.0
         return max(self._tail_pv[idx] - r * s, 0.0)
 
-    def ppf(self, u):
+    def draw(self, u):
         idx = np.searchsorted(np.cumsum(self.probs), u, side="right")
         idx = np.minimum(idx, len(self.values) - 1)
         return self.values[idx]
@@ -208,7 +201,7 @@ class Uniform(Distribution):
             return (d / (self.b - self.a)) * (0.5 * d)  # d*d underflows
         return d * d / (2.0 * (self.b - self.a))
 
-    def ppf(self, u):
+    def draw(self, u):
         return self.a + u * (self.b - self.a)
 
 
@@ -248,7 +241,7 @@ class Exponential(Distribution):
             return self.mean() - r
         return math.exp(-self.rate * r) / self.rate
 
-    def ppf(self, u):
+    def draw(self, u):
         return -np.log1p(-u) / self.rate
 
 
@@ -302,11 +295,17 @@ class Mixture(Distribution):
             + (1.0 - self.weight) * self.right.g_value(r)
         )
 
-    def ppf(self, u):
-        raise NotImplementedError("mixture sampling needs a branch coin; use draw()")
-
-    def draw(self, coin, u):
-        return np.where(coin < self.weight, self.left.ppf(u), self.right.ppf(u))
+    def draw(self, u):
+        # u < weight picks the left branch; either part, rescaled to [0, 1),
+        # is again uniform and drives that branch.  The right part can round
+        # up to 1.0, where an Exponential draw is infinite.
+        w = self.weight
+        out = np.empty_like(u)
+        left = u < w
+        out[left] = self.left.draw(u[left] / w)
+        right = np.minimum((u[~left] - w) / (1.0 - w), _BELOW_ONE)
+        out[~left] = self.right.draw(right)
+        return out
 
 
 def point_mass(value: float) -> DiscreteFinite:

@@ -156,6 +156,8 @@ def gen_instance(n: int, k: int, family: str, seed: int) -> Instance:
     """
     if family not in GEN_FAMILIES:
         raise ValidationError(f"unknown family {family!r}; expected one of {GEN_FAMILIES}")
+    if seed < 0:
+        raise ValidationError(f"seed {seed!r} must be non-negative")
     rng = np.random.default_rng(seed)
     dists: list[Distribution] = []
     for _ in range(n):

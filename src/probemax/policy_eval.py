@@ -11,10 +11,11 @@ closed form thanks to independence:
     E[sum]      = sum_i p_i * c_i            (accept every qualifying sample)
     E[(B-1)^+]  = from the exact Bernoulli-count convolution
 
-The Monte-Carlo path exists to cross-check the analytic one.  Its random
-stream is counter-based (Philox keyed by the seed, counter advanced per
-trial), so any partition of the trial range reproduces bitwise-identical
-draws; results do not depend on chunking or parallelism degree.
+The Monte-Carlo path exists to cross-check the analytic one.  It draws one
+uniform per entry and trial from a single Philox stream keyed by the seed,
+streams the trials in blocks of fixed size, one entry at a time, and keeps
+only per-block sums, so its memory grows with neither the number of trials
+nor that of entries.
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ import numpy as np
 from .distributions import DiscreteFinite, Distribution
 from .errors import NotDiscrete, ValidationError
 
-# Philox emits 64-bit words in blocks of 4 and advance() steps whole blocks,
-# so per-trial draw counts are padded to a multiple of 4.
-_PHILOX_BLOCK = 4
+# Trials per simulation block.  The simulator holds a few arrays of this
+# length (512 KB each), whatever the number of trials or entries.
+_BLOCK_TRIALS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -114,68 +115,56 @@ def evaluate(policy: ThresholdPolicy) -> PolicyStats:
     )
 
 
-def _trial_uniforms(seed: int, start: int, stop: int, per_trial: int) -> np.ndarray:
-    """Uniform draws for trials [start, stop), bitwise independent of chunking.
-
-    Trial t occupies counter positions [t * per_trial, (t+1) * per_trial);
-    per_trial must be a multiple of the Philox block size.
-    """
-    bitgen = np.random.Philox(key=seed)
-    bitgen.advance(start * per_trial // _PHILOX_BLOCK)
-    return np.random.Generator(bitgen).random((stop - start, per_trial))
-
-
-def _per_trial_columns(n_entries: int) -> int:
-    cols = 2 * n_entries  # one branch coin + one value per entry
-    return -(-cols // _PHILOX_BLOCK) * _PHILOX_BLOCK
-
-
-def _draw_values(
-    dists: Sequence[Distribution], seed: int, start: int, stop: int
-) -> np.ndarray:
-    """Samples of every variable for trials [start, stop); one column each."""
-    u = _trial_uniforms(seed, start, stop, _per_trial_columns(len(dists)))
-    values = np.empty((stop - start, len(dists)))
-    for j, d in enumerate(dists):
-        values[:, j] = d.draw(u[:, 2 * j], u[:, 2 * j + 1])
-    return values
-
-
-def _simulate_chunk(policy: ThresholdPolicy, seed: int, start: int, stop: int):
-    """Per-trial (reward, max) for trials [start, stop)."""
-    values = _draw_values(policy.entries, seed, start, stop)
-    hits = values >= policy.threshold
-    stopped = hits.any(axis=1)
-    first = hits.argmax(axis=1)
-    rewards = np.where(stopped, values[np.arange(len(values)), first], 0.0)
-    return rewards, values.max(axis=1)
-
-
-def simulate(
-    policy: ThresholdPolicy, trials: int, seed: int, chunk_size: int = 1 << 16
-) -> SimResult:
+def simulate(policy: ThresholdPolicy, trials: int, seed: int) -> SimResult:
     """Monte-Carlo estimates of the expected reward and expected maximum.
 
-    Deterministic for a fixed seed; chunk_size only bounds memory and has no
-    effect on the result.  stderr is the sample standard deviation of the
+    Trials run in blocks of _BLOCK_TRIALS.  Each block draws one column of
+    uniforms per entry, in entry order, from one Philox stream keyed by the
+    seed, so the result is deterministic per seed.  Only per-block sums of
+    deviations from the first trial are kept.  They are taken at scale
+    2**-e, with 2**e the power of two just above the largest entry mean, so
+    that neither they nor their squares overflow or underflow; scaling by a
+    power of two is exact.  stderr is the sample standard deviation of the
     per-trial reward divided by sqrt(trials).
     """
     if trials < 1:
         raise ValidationError(f"trials={trials!r} must be at least 1")
-    rewards = np.empty(trials)
-    maxima = np.empty(trials)
-    for start in range(0, trials, chunk_size):
-        stop = min(start + chunk_size, trials)
-        rewards[start:stop], maxima[start:stop] = _simulate_chunk(policy, seed, start, stop)
-    # fsum is the correctly-rounded sum, hence independent of partition order.
-    mean_reward = math.fsum(rewards) / trials
-    mean_max = math.fsum(maxima) / trials
-    if trials > 1:
-        var = math.fsum((rewards - mean_reward) ** 2) / (trials - 1)
-        stderr = math.sqrt(max(var, 0.0) / trials)
-    else:
-        stderr = 0.0
-    return SimResult(mean_reward=mean_reward, mean_max=mean_max, stderr=stderr)
+    if not 0 <= seed < 2**128:
+        raise ValidationError(f"seed {seed!r} must lie in [0, 2**128)")
+    gen = np.random.Generator(np.random.Philox(key=seed))
+    e = math.frexp(max(d.mean() for d in policy.entries))[1]
+    shift = None
+    sums = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, trials, _BLOCK_TRIALS):
+            m = min(_BLOCK_TRIALS, trials - start)
+            rewards = np.zeros(m)
+            maxima = np.zeros(m)
+            waiting = np.ones(m, dtype=bool)  # no entry accepted yet
+            for d in policy.entries:
+                x = d.draw(gen.random(m))
+                hit = waiting & (x >= policy.threshold)
+                np.copyto(rewards, x, where=hit)
+                waiting &= ~hit
+                np.maximum(maxima, x, out=maxima)
+            rewards = np.ldexp(rewards, -e)
+            maxima = np.ldexp(maxima, -e)
+            if shift is None:
+                # Deviations from the first trial are exactly zero when every
+                # trial is the same, so the means are then exact and stderr 0.
+                shift = rewards[0], maxima[0]
+            dev = rewards - shift[0]
+            sums.append((dev.sum(), np.square(dev).sum(), (maxima - shift[1]).sum()))
+        dev_sum, dev_sq, max_dev = (math.fsum(col) for col in zip(*sums))
+        var = (dev_sq - dev_sum * dev_sum / trials) / max(trials - 1, 1)
+        result = np.ldexp([shift[0] + dev_sum / trials, shift[1] + max_dev / trials,
+                           math.sqrt(max(var, 0.0) / trials)], e)
+    if not np.isfinite(result).all():
+        raise ValidationError(
+            "Monte-Carlo sums overflow; the variables' samples exceed the "
+            "floating-point range"
+        )
+    return SimResult(*result.tolist())
 
 
 def expected_max_exact_discrete(

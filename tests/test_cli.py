@@ -367,6 +367,77 @@ class TestExtremeScales:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert overflowing in err and "overflows" in err
 
+    def test_simulate_near_the_float_limit(self, tmp_path, capsys):
+        path = tmp_path / "huge.inst"
+        path.write_text(
+            "k 1\n"
+            "dist discrete values 1e308 probs 1.0\n"
+            "dist discrete values 1e308 probs 1.0\n"
+        )
+        code, out, err = run_cli(
+            ["simulate", str(path), "--indices", "1", "--trials", "1000"], capsys
+        )
+        assert code == 0 and err == ""
+        row = read_rows(out)[0]
+        assert float(row["mean_reward"]) == float(row["mean_max"]) == 1e308
+        assert float(row["stderr"]) == 0.0
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", ["e200", "e-200"])
+    def test_simulate_varying_rewards_at_extreme_scales(self, tmp_path, capsys, scale):
+        rows = []
+        for suffix in (scale, ""):
+            path = tmp_path / f"pair{suffix}.inst"
+            path.write_text(
+                "k 2\n"
+                f"dist discrete values 0 1{suffix} probs 0.5 0.5\n"
+                f"dist discrete values 0 3{suffix} probs 0.5 0.5\n"
+            )
+            code, out, err = run_cli(
+                ["simulate", str(path), "--indices", "1,2", "--trials", "1000"], capsys
+            )
+            assert code == 0 and err == ""
+            rows.append(read_rows(out)[0])
+        factor = float("1" + scale)
+        for col in ("mean_reward", "mean_max", "stderr"):
+            assert float(rows[1][col]) > 0.0
+            assert float(rows[0][col]) == pytest.approx(float(rows[1][col]) * factor,
+                                                         rel=1e-12, abs=0.0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_simulate_overflowing_samples_exit_code(self, tmp_path, capsys):
+        # About one Exponential(1e-308) draw in six exceeds the float range.
+        path = tmp_path / "huge.inst"
+        path.write_text("k 1\ndist exponential rate 1e-308\n")
+        code, out, err = run_cli(
+            ["simulate", str(path), "--indices", "1", "--threshold", "1", "--trials", "1000"],
+            capsys,
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "overflow" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "{file}", "--indices", "1", "--seed", "-1"],
+        ["simulate", "{file}", "--indices", "1", "--seed", str(2**128)],
+        ["gen", "--n", "2", "--k", "1", "--family", "uniform", "--seed", "-1"],
+        ["bench", "--count", "1", "--family", "uniform", "--seed", "-5"],
+    ],
+    ids=["simulate-negative", "simulate-2**128", "gen-negative", "bench-negative"],
+)
+def test_seed_out_of_range_exit_code(tmp_path, capsys, argv):
+    path = tmp_path / "u.inst"
+    path.write_text(TWO_UNIFORM_TEXT)
+    code, out, err = run_cli([str(path) if a == "{file}" else a for a in argv], capsys)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "seed" in err
+
 
 def test_main_reuses_one_parser(monkeypatch, tmp_path, capsys):
     path = tmp_path / "gen.inst"

@@ -1,6 +1,7 @@
 """Distribution oracle tests: closed forms against independent integration."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from scipy import integrate
 from probemax import DiscreteFinite, Exponential, Uniform, ValidationError, point_mass
 from probemax.distributions import Mixture
 from probemax.errors import ZeroTail
-from probemax.policy_eval import _draw_values
 
 ATOL = 1e-12
 
@@ -105,8 +105,8 @@ class TestGValue:
 
 
 def philox_draws(d, trials, seed):
-    """Samples of d from the simulator's counter-based stream."""
-    return _draw_values([d], seed, 0, trials)[:, 0]
+    """Samples of d from a Philox stream keyed by the seed, one uniform each."""
+    return d.draw(np.random.Generator(np.random.Philox(key=seed)).random(trials))
 
 
 class TestSampling:
@@ -132,6 +132,19 @@ class TestSampling:
         draws = philox_draws(d, 100_000, 11)
         assert set(np.unique(draws)) == {1.0, 3.0}
         assert abs((draws == 1.0).mean() - 0.25) < 0.01
+
+    @pytest.mark.parametrize("weight, branch", [(0.0, "right"), (1.0, "left")])
+    def test_mixture_degenerate_weight_draws_one_branch(self, weight, branch):
+        d = Mixture(weight, Uniform(0, 1), Uniform(2, 3))
+        u = np.random.default_rng(3).random(1000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            draws = d.draw(u)
+        assert np.array_equal(draws, getattr(d, branch).draw(u))
+
+    def test_mixture_right_branch_top_uniform_is_finite(self):
+        d = Mixture(0.3, Uniform(0, 1), Exponential(1.0))
+        assert np.isfinite(d.draw(np.array([np.nextafter(1.0, 0.0)]))).all()
 
     def test_sample_deterministic_per_seed(self):
         d = Mixture(0.5, Uniform(0, 1), Exponential(2.0))

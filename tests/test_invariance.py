@@ -15,9 +15,11 @@ from probemax import (
     DiscreteFinite,
     Exponential,
     Instance,
+    ThresholdPolicy,
     Uniform,
     gen_instance,
     select_gap2_set,
+    simulate,
     solve_continuous,
 )
 
@@ -85,6 +87,24 @@ def test_power_of_two_scaling_is_exact(name, family, fields, j):
         if s_decisions != decisions or s_floats != tuple(c * x for x in floats):
             bad.append(seed)
     assert bad == [], f"{name} at scale 2**{j}: seeds {bad} differ"
+
+
+@pytest.mark.parametrize("j", EXPONENTS + (-600, 600))
+@pytest.mark.parametrize("family", ["discrete", "mixed"])
+def test_simulate_scales_exactly(family, j):
+    # Draws at scale 2**j are exactly 2**j times the unit draws, and the
+    # simulator sums at the scale of the largest mean, so every output must
+    # scale exactly too, far beyond where the squared deviations overflow.
+    c = 2.0**j
+    bad = []
+    for seed in SEEDS:
+        inst = gen_instance(8, 3, family, seed)
+        unit = simulate(ThresholdPolicy(inst.dists, 0.5 * inst.mu_max), 2000, seed)
+        big = scaled(inst, c)
+        result = simulate(ThresholdPolicy(big.dists, 0.5 * big.mu_max), 2000, seed)
+        if result != tuple(c * x for x in unit):
+            bad.append(seed)
+    assert bad == [], f"simulate at scale 2**{j}: seeds {bad} differ"
 
 
 @pytest.mark.parametrize("name,family,fields", CASES, ids=[c[0] for c in CASES])

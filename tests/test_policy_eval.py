@@ -1,6 +1,7 @@
 """Analytic policy statistics, Monte-Carlo agreement, and exact E[max]."""
 
 import math
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -99,6 +100,11 @@ class TestSimulate:
         assert result.mean_max == 1.0
         assert result.stderr == 0.0
 
+    @pytest.mark.parametrize("value", [0.3, 0.7, 1.1])
+    def test_constant_samples_give_exact_means(self, value):
+        result = simulate(ThresholdPolicy([point_mass(value)], 0.0), trials=1000, seed=0)
+        assert result == (value, value, 0.0)
+
     def test_two_uniform_against_analytic(self):
         policy = ThresholdPolicy([Uniform(0, 1), Uniform(0, 1)], 0.5)
         result = simulate(policy, trials=10**6, seed=0)
@@ -110,14 +116,21 @@ class TestSimulate:
         assert simulate(policy, 5000, seed=9) == simulate(policy, 5000, seed=9)
         assert simulate(policy, 5000, seed=9) != simulate(policy, 5000, seed=10)
 
-    def test_independent_of_chunking(self):
-        # chunk size models the parallel partition of the trial space
+    def test_memory_bounded_in_trials(self):
+        # Ten times the trials must not need more memory: trials stream in
+        # blocks of a fixed size.
         policy = ThresholdPolicy(
             [Uniform(0, 1), Mixture(0.5, Uniform(0, 2), Exponential(1.0))], 0.6
         )
-        full = simulate(policy, 30_000, seed=4, chunk_size=30_000)
-        tiny = simulate(policy, 30_000, seed=4, chunk_size=977)
-        assert full == tiny
+        peaks = []
+        for trials in (10**5, 10**6):
+            tracemalloc.start()
+            try:
+                simulate(policy, trials, seed=4)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0], peaks
 
     def test_trials_validation(self):
         with pytest.raises(ValidationError):
