@@ -145,8 +145,7 @@ def compute_psi_star(inst: Instance, r_star: float) -> PsiSolution:
     alpha clamps to the nearer endpoint and the solution degrades to an
     integer one; a larger failure raises AlphaOutOfRange.
     """
-    _require_continuous(inst)
-    s_minus, s_plus = construct_s_minus_plus(inst, r_star)
+    s_minus, s_plus = construct_s_minus_plus(inst, r_star)  # raises NotContinuous
     s_minus, s_plus = maximize_overlap(inst, r_star, s_minus, s_plus)
     p_minus = math.fsum(inst.dists[i].survival(r_star) for i in s_minus)
     p_plus = math.fsum(inst.dists[i].survival(r_star) for i in s_plus)
@@ -168,12 +167,13 @@ def compute_psi_star(inst: Instance, r_star: float) -> PsiSolution:
     psi = [0.0] * inst.n
     for i in s_plus:
         psi[i] = alpha
+    plus = set(s_plus)
     for i in s_minus:
-        psi[i] = 1.0 if i in s_plus else 1.0 - alpha
+        psi[i] = 1.0 if i in plus else 1.0 - alpha
     frac_pair = None
     if 0.0 < alpha < 1.0 and s_plus != s_minus:
-        (ell,) = set(s_plus) - set(s_minus)
-        (m,) = set(s_minus) - set(s_plus)
+        (ell,) = plus - set(s_minus)
+        (m,) = set(s_minus) - plus
         frac_pair = (ell, m)
     return PsiSolution(
         r_star=float(r_star),

@@ -183,12 +183,37 @@ def expected_max_exact_discrete(
         members.append(d)
     if not members:
         raise NotDiscrete("empty subset")
-    grid = np.array(sorted(set(v for d in members for v in d.values.tolist())))
-    cdf = np.ones_like(grid)
-    for d in members:
-        atoms = np.searchsorted(grid, d.values)
-        member_cdf = np.zeros_like(grid)
-        np.add.at(member_cdf, atoms, d.probs)
-        cdf = cdf * np.cumsum(member_cdf)
-    pmf = np.diff(np.concatenate([[0.0], cdf]))
-    return float(np.dot(grid, pmf))
+    return _expected_maxima(members, np.arange(len(members))[np.newaxis])[0]
+
+
+def _expected_maxima(members: Sequence[DiscreteFinite], subsets: np.ndarray) -> list[float]:
+    """Exact E[max] over each row of `subsets`, a 2-D array of ascending indices.
+
+    The CDF rows of the members one column of `subsets` names are built over
+    the grid of every value the rows use, as cumulative sums, then multiplied
+    into the rows' product in index order.  A grid point that is not a
+    member's atom adds 0.0 to its cumulative sum, so each row's product and
+    its differences equal, at the row's own support points, those a grid of
+    its members' values alone would give, and are 0.0 in between; one np.dot
+    over those points then gives its E[max].  Memory is a few arrays of the
+    size of `subsets` times the grid.
+
+    Only a one-term np.dot shows the sign of a zero grid value.  The grid
+    keeps the zero of the lowest-index member that has one, so a single row
+    gets exactly the bits of a grid of its own members; in a block, a row
+    whose only value is zero may get another row's sign.
+    """
+    used = sorted(set(subsets.ravel().tolist()))
+    grid = np.array(sorted({v for i in used for v in members[i].values.tolist()}))
+    cdf = np.ones((len(subsets), grid.size))
+    support = np.zeros(cdf.shape, dtype=bool)
+    for col in subsets.T:
+        ids = sorted(set(col.tolist()))
+        pmf = np.zeros((len(ids), grid.size))
+        for row, i in enumerate(ids):
+            pmf[row, np.searchsorted(grid, members[i].values)] = members[i].probs
+        at = np.searchsorted(ids, col)
+        cdf *= np.cumsum(pmf, axis=1)[at]
+        support |= (pmf > 0.0)[at]
+    pmf = np.diff(cdf, axis=1, prepend=0.0)
+    return [float(np.dot(grid[keep], row[keep])) for row, keep in zip(pmf, support)]

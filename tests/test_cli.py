@@ -314,7 +314,8 @@ class TestExtremeScales:
         row = self._run(tmp_path, capsys, "bound", self.TINY_TEXT)
         unit = self._run(tmp_path, capsys, "bound", self.UNIT_TEXT)
         assert float(row["u_star"]) >= 1e-200  # mu_max
-        assert float(row["u_star"]) == pytest.approx(float(unit["u_star"]) * 1e-200, rel=1e-12)
+        assert float(row["u_star"]) == pytest.approx(float(unit["u_star"]) * 1e-200,
+                                                     rel=1e-12, abs=0.0)
 
     def test_tiny_uniforms_gap2(self, tmp_path, capsys):
         row = self._run(tmp_path, capsys, "gap2", self.TINY_TEXT)
@@ -323,7 +324,7 @@ class TestExtremeScales:
         for col in ("chosen", "s_tilde_plus", "s_tilde_minus"):
             assert row[col] == unit[col]
         assert float(row["threshold"]) == pytest.approx(float(unit["threshold"]) * 1e-200,
-                                                        rel=1e-12)
+                                                        rel=1e-12, abs=0.0)
 
     def test_tiny_uniforms_gapcont(self, tmp_path, capsys):
         row = self._run(tmp_path, capsys, "gap-cont", self.TINY_TEXT)
@@ -332,7 +333,7 @@ class TestExtremeScales:
         for col in ("derandomized_set", "derandomized_order", "frac_pair"):
             assert row[col] == unit[col]
         assert float(row["expected_reward"]) == pytest.approx(
-            float(unit["expected_reward"]) * 1e-200, rel=1e-12)
+            float(unit["expected_reward"]) * 1e-200, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("command", ["bound", "gap2"])
     def test_overflowing_search_bracket_exit_code(self, tmp_path, capsys, command):

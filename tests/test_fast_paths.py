@@ -1,19 +1,35 @@
-"""Property tests: the fast scalar paths equal their reference forms bit for bit.
+"""Property tests: the fast paths equal their reference forms bit for bit.
 
 ``DiscreteFinite`` answers ``survival``, ``tail_moment_one`` and ``g_value``
 with one ``bisect`` over suffix sums held as Python floats; the reference
 kept here is the numpy form (``np.searchsorted`` over ``np.cumsum`` suffix
 arrays).  The envelope and tie-class sorts use a key-only sort that stays
 stable under ``reverse=True``; the reference is the explicit ``(-g, i)`` key.
+The exact oracles run a DP keyed by (best value, unprobed set) with cached
+last-probe values, and score blocks of subsets on the block's merged grid;
+the references are the DP keyed by (budget, best value, unprobed set) and
+the E[max] of one subset on its own merged grid.
 """
 
 import math
+from itertools import combinations
+from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from probemax import DiscreteFinite, Instance, Uniform, point_mass
+from probemax import (
+    DiscreteFinite,
+    Instance,
+    Uniform,
+    adaptive_optimum_dp,
+    expected_max_exact_discrete,
+    point_mass,
+    static_optimum_enum,
+)
+from probemax import oracles
 from probemax.gap2 import build_tilde_set, tie_class_at
 from probemax.gap_continuous import CONT_TIE_TOL, construct_s_minus_plus
 from probemax.minmax import h_max
@@ -148,3 +164,111 @@ def test_s_minus_plus_fill_slots_like_the_index_key(ends, data):
     s_minus, s_plus = construct_s_minus_plus(inst, r_star)
     assert s_minus == tuple(sorted(tc.prefix + tuple(lo_first)))
     assert s_plus == tuple(sorted(tc.prefix + tuple(hi_first)))
+
+
+def reference_dp(inst: Instance) -> float:
+    """The adaptive optimum as a DP memoized over (budget, best value, mask)."""
+    supports = [list(zip(d.values.tolist(), d.probs.tolist())) for d in inst.dists]
+    memo: dict[tuple[int, float, int], float] = {}
+
+    def best(kappa: int, r: float, mask: int) -> float:
+        if kappa == 0 or mask == 0:
+            return r
+        key = (kappa, r, mask)
+        if key not in memo:
+            value = r
+            for i in range(inst.n):
+                bit = 1 << i
+                if mask & bit:
+                    exp = math.fsum(
+                        p * best(kappa - 1, max(r, v), mask ^ bit) for v, p in supports[i]
+                    )
+                    if exp > value:
+                        value = exp
+            memo[key] = value
+        return memo[key]
+
+    return best(inst.k, 0.0, (1 << inst.n) - 1)
+
+
+def reference_expected_max(dists, subset) -> float:
+    """E[max] of one subset on the merged grid of its own members' values."""
+    members = [dists[i] for i in sorted(set(subset))]
+    grid = np.array(sorted(set(v for d in members for v in d.values.tolist())))
+    cdf = np.ones_like(grid)
+    for d in members:
+        member_cdf = np.zeros_like(grid)
+        np.add.at(member_cdf, np.searchsorted(grid, d.values), d.probs)
+        cdf = cdf * np.cumsum(member_cdf)
+    pmf = np.diff(np.concatenate([[0.0], cdf]))
+    return float(np.dot(grid, pmf))
+
+
+def reference_static(inst: Instance) -> tuple[float, tuple[int, ...]]:
+    best_value, best_subset = -math.inf, None
+    for subset in combinations(range(inst.n), inst.k):
+        value = reference_expected_max(inst.dists, subset)
+        if value > best_value:
+            best_value, best_subset = value, subset
+    return best_value, best_subset
+
+
+COIN = DiscreteFinite([(0.0, 0.5), (1.0, 0.5)])
+# Signed zeros, shared atoms and a few free values; one atom makes a point mass.
+ORACLE_VALUES = st.one_of(
+    st.sampled_from((0.0, -0.0, 0.5, 1.0, 2.0, 3.5)),
+    st.floats(min_value=0.0, max_value=10.0, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def oracle_instances(draw, max_atoms=4):
+    """Small discrete instances; copies from a pool of variables make tied subsets."""
+    variables = discrete(max_atoms=max_atoms, values=ORACLE_VALUES)
+    pool = draw(st.lists(variables, min_size=1, max_size=3))
+    dists = draw(st.lists(
+        st.one_of(st.sampled_from(pool), variables), min_size=1, max_size=6,
+    ).filter(lambda ds: max(d.mean() for d in ds) > 0.0))
+    return Instance(dists, draw(st.integers(1, len(dists))))
+
+
+@SETTINGS
+@given(oracle_instances())
+@example(Instance([point_mass(0.0), point_mass(-0.0), point_mass(2.0)], 2))
+@example(Instance([DiscreteFinite([(-0.0, 0.5), (1.0, 0.5)]), point_mass(0.0)], 1))
+@example(Instance([point_mass(3.0)], 1))
+def test_adaptive_dp_matches_the_budget_keyed_dp(inst):
+    assert bits(adaptive_optimum_dp(inst)) == bits(reference_dp(inst))
+
+
+@SETTINGS
+@given(oracle_instances(max_atoms=12),
+       st.one_of(st.integers(1, 256), st.just(oracles._BLOCK_CELLS)))
+@example(Instance([COIN] * 5, 2), 1)
+@example(Instance([point_mass(1.0)] * 4, 4), 64)
+def test_static_enum_matches_the_per_subset_scan(inst, cells):
+    # Few cells per block put the subsets in many blocks; the first witness
+    # of the best value must still win across block boundaries.  Grids of
+    # tens of points make np.dot's sum depend on which points it sees.
+    with mock.patch.object(oracles, "_BLOCK_CELLS", cells):
+        value, witness = static_optimum_enum(inst)
+    ref_value, ref_witness = reference_static(inst)
+    assert bits(value) == bits(ref_value)
+    assert witness == ref_witness
+
+
+@SETTINGS
+@given(st.lists(discrete(max_atoms=4, values=ORACLE_VALUES), min_size=1, max_size=6), st.data())
+def test_expected_max_matches_the_per_subset_grid(dists, data):
+    subset = data.draw(st.lists(st.integers(0, len(dists) - 1), min_size=1))
+    assert bits(expected_max_exact_discrete(dists, subset)) == bits(
+        reference_expected_max(dists, subset))
+
+
+@pytest.mark.parametrize("values", [(-0.0,), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0, 0.0)])
+def test_expected_max_of_zeros_keeps_the_first_members_sign(values):
+    # A one-point grid is the one place where the sign of a zero shows.
+    dists = [point_mass(v) for v in values]
+    result = expected_max_exact_discrete(dists, range(len(dists)))
+    assert bits(result) == bits(reference_expected_max(dists, range(len(dists))))
+    assert bits(result) == bits(values[0])

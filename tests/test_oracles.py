@@ -2,6 +2,7 @@
 
 import gc
 import math
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -105,7 +106,10 @@ class TestAdaptiveOptimumDP:
             adaptive_optimum_dp(Instance([Uniform(0, 1)], 1))
 
     def test_memo_is_freed_without_the_cyclic_collector(self):
-        inst = gen_instance(11, 6, "discrete", 5)  # about 4000 memo entries
+        # About 4000 (best value, mask) memo entries and 200 (variable, best
+        # value) last-probe entries; each key is a tuple the collector would
+        # count if either cache outlived the call.
+        inst = gen_instance(11, 6, "discrete", 5)
         gc.collect()
         gc.disable()
         try:
@@ -113,7 +117,7 @@ class TestAdaptiveOptimumDP:
             unreachable = gc.collect()
         finally:
             gc.enable()
-        assert unreachable < 100  # the recursive closure, not the memo's entries
+        assert unreachable < 100  # the recursive closure, not the caches' entries
 
     def test_state_budget(self):
         inst = Instance([COIN] * 8, 4)
@@ -137,6 +141,30 @@ class TestStaticOptimumEnum:
         inst = Instance([COIN] * 10, 5)
         with pytest.raises(InstanceTooLarge):
             static_optimum_enum(inst, max_subsets=10)
+
+    def test_memory_bounded_in_the_number_of_subsets(self):
+        # Every variable has atoms on one 1500-point grid, so both instances
+        # score subsets over the same grid; 924 subsets must not need more
+        # memory than 70 (one table of all subsets would take 13x more).
+        rng = np.random.default_rng(11)
+        grid = np.linspace(0.0, 10.0, 1500)
+
+        def inst(n, k):
+            dists = []
+            for _ in range(n):
+                w = rng.random(grid.size) + 0.1
+                dists.append(DiscreteFinite(list(zip(grid.tolist(), (w / w.sum()).tolist()))))
+            return Instance(dists, k)
+
+        peaks = []
+        for case in (inst(8, 4), inst(12, 6)):  # 70 and 924 subsets
+            tracemalloc.start()
+            try:
+                static_optimum_enum(case)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0], peaks
 
     @pytest.mark.parametrize("seed", range(8))
     def test_against_direct_recomputation(self, seed):
