@@ -26,6 +26,11 @@ from .errors import ValidationError, ZeroTail
 
 PROB_SUM_TOL = 1e-12
 _BELOW_ONE = np.nextafter(1.0, 0.0)
+# Largest atom count DiscreteFinite.draw counts cuts for (its uint8 index
+# holds up to 255).  On 2^16 uniforms (2-vCPU Xeon, numpy 2.4) counting
+# costs 0.2-0.4 ms up to 32 atoms and about 1 ms at 128, against 0.5-2.4 ms
+# for searchsorted; at 256 atoms the two were even.
+_COUNT_DRAW_MAX_ATOMS = 128
 
 
 class Distribution(ABC):
@@ -48,7 +53,10 @@ class Distribution(ABC):
 
     @abstractmethod
     def draw(self, u):
-        """Map uniforms u in [0, 1) to samples, one each; vectorized."""
+        """Map uniforms u in [0, 1) to float64 samples, one each; vectorized.
+
+        Each sample depends on its own uniform only.
+        """
 
     def cond_exp_ge(self, r: float) -> float:
         """E[X | X >= r].
@@ -141,9 +149,27 @@ class DiscreteFinite(Distribution):
         return max(self._tail_pv[idx] - r * s, 0.0)
 
     def draw(self, u):
-        idx = np.searchsorted(np.cumsum(self.probs), u, side="right")
-        idx = np.minimum(idx, len(self.values) - 1)
-        return self.values[idx]
+        """Samples values[min(searchsorted(cumsum(probs), u, "right"), m - 1)].
+
+        Exactness contract: for every u that is not NaN, of any shape
+        (0-d included), the result equals that reference bit for bit.  The
+        index is the number of interior cumulative sums (all but the last)
+        at or below u; since the sums never decrease, that count is the
+        clipped searchsorted.  Up to _COUNT_DRAW_MAX_ATOMS atoms it is
+        counted with one comparison pass per cut, which costs less than a
+        binary search whose branches mispredict on random keys; above,
+        searchsorted runs over the interior cuts.
+        """
+        u = np.asarray(u)
+        cuts = np.cumsum(self.probs)[:-1]
+        if len(self.values) > _COUNT_DRAW_MAX_ATOMS:
+            return self.values[np.searchsorted(cuts, u, side="right")]
+        idx = np.zeros(u.shape, dtype=np.uint8)
+        above = np.empty(u.shape, dtype=bool)
+        for cut in cuts.tolist():
+            np.greater_equal(u, cut, out=above)
+            idx += above.view(np.uint8)
+        return self.values.take(idx)
 
 
 class Uniform(Distribution):
@@ -242,7 +268,14 @@ class Exponential(Distribution):
         return math.exp(-self.rate * r) / self.rate
 
     def draw(self, u):
-        return -np.log1p(-u) / self.rate
+        # -log1p(-u) / rate, computed in one new array: a second temporary
+        # of a simulation block's size makes the allocator hand its pages
+        # back and fault them in again on every call.
+        x = np.empty_like(u, dtype=float)
+        np.negative(u, out=x)
+        np.log1p(x, out=x)
+        x /= -self.rate
+        return x[()]  # a scalar for a 0-d u, as a plain ufunc call gives
 
 
 class Mixture(Distribution):
@@ -298,14 +331,15 @@ class Mixture(Distribution):
     def draw(self, u):
         # u < weight picks the left branch; either part, rescaled to [0, 1),
         # is again uniform and drives that branch.  The right part can round
-        # up to 1.0, where an Exponential draw is infinite.
+        # up to 1.0, where an Exponential draw is infinite.  Both branches
+        # draw every u, elementwise, and np.where keeps the picked one; the
+        # other may be out of range (even inf or NaN), so its warnings are
+        # muted.
         w = self.weight
-        out = np.empty_like(u)
-        left = u < w
-        out[left] = self.left.draw(u[left] / w)
-        right = np.minimum((u[~left] - w) / (1.0 - w), _BELOW_ONE)
-        out[~left] = self.right.draw(right)
-        return out
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            left = self.left.draw(u / w)
+            right = self.right.draw(np.minimum((u - w) / (1.0 - w), _BELOW_ONE))
+        return np.where(u < w, left, right)
 
 
 def point_mass(value: float) -> DiscreteFinite:

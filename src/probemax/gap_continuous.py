@@ -32,7 +32,7 @@ from .distributions import Distribution, Mixture
 from .errors import AlphaOutOfRange, NotContinuous
 from .gap2 import TIE_TOL, tie_class_at
 from .minmax import BoundResult, Instance, minimize_hmax
-from .policy_eval import PolicyStats, ThresholdPolicy, evaluate
+from .policy_eval import PolicyStats, ThresholdPolicy, _reward_chain, evaluate
 
 #: Tolerance on fractional-solution identities (survival sums, alpha clamping).
 TOL_PSI = 1e-4
@@ -228,9 +228,9 @@ def derandomize(
     for branch in sol.frac_pair:
         entries = list(policy.entries)
         entries[slot] = inst.dists[branch]
-        stats = evaluate(ThresholdPolicy(entries, policy.threshold))
+        reward = _reward_chain(entries, policy.threshold)[2]
         swapped = order[:slot] + (branch,) + order[slot + 1 :]
-        branches.append((swapped, stats.expected_reward))
+        branches.append((swapped, reward))
     return max(branches, key=lambda b: b[1])
 
 

@@ -15,7 +15,11 @@ The Monte-Carlo path exists to cross-check the analytic one.  It draws one
 uniform per entry and trial from a single Philox stream keyed by the seed,
 streams the trials in blocks of fixed size, one entry at a time, and keeps
 only per-block sums, so its memory grows with neither the number of trials
-nor that of entries.
+nor that of entries.  Per entry and block it costs one Philox fill of a
+reused buffer, the entry's draw and six branch-free passes; a discrete
+draw adds one comparison pass per atom, up to a cutover above which it is
+one binary search whatever the atom count.  The Philox fill is the largest
+single cost.
 """
 
 from __future__ import annotations
@@ -30,7 +34,8 @@ from .distributions import DiscreteFinite, Distribution
 from .errors import NotDiscrete, ValidationError
 
 # Trials per simulation block.  The simulator holds a few arrays of this
-# length (512 KB each), whatever the number of trials or entries.
+# length (512 KB each), allocated once, and the draws' temporaries, whatever
+# the number of trials or entries.
 _BLOCK_TRIALS = 1 << 16
 
 
@@ -82,21 +87,29 @@ def bernoulli_count_pmf(ps: Sequence[float]) -> list[float]:
     return pmf
 
 
-def evaluate(policy: ThresholdPolicy) -> PolicyStats:
-    """All five policy statistics, computed in closed form (no sampling)."""
-    r = policy.threshold
-    ps = [d.survival(r) for d in policy.entries]
-    # p * c = E[X 1{X >= r}]; safe even when the tail is empty.
-    pcs = [d.tail_moment_one(r) for d in policy.entries]
+def _reward_chain(
+    entries: Sequence[Distribution], r: float
+) -> tuple[list[float], list[float], float, float]:
+    """(p_i, p_i * c_i, E[reward], P(B >= 1)) of the entries at threshold r.
 
+    `evaluate` adds the statistics that need the O(k^2) Bernoulli-count
+    convolution; a caller after E[reward] alone stops here.
+    """
+    ps = [d.survival(r) for d in entries]
+    # p * c = E[X 1{X >= r}]; safe even when the tail is empty.
+    pcs = [d.tail_moment_one(r) for d in entries]
     reward_terms = []
     miss = 1.0
     for p, pc in zip(ps, pcs):
         reward_terms.append(miss * pc)
         miss *= 1.0 - p
-    expected_reward = math.fsum(reward_terms)
+    return ps, pcs, math.fsum(reward_terms), 1.0 - miss
+
+
+def evaluate(policy: ThresholdPolicy) -> PolicyStats:
+    """All five policy statistics, computed in closed form (no sampling)."""
+    ps, pcs, expected_reward, prob_stop = _reward_chain(policy.entries, policy.threshold)
     expected_b = math.fsum(ps)
-    prob_stop = 1.0 - miss
     try:
         expected_sum = math.fsum(pcs)
     except OverflowError:
@@ -127,34 +140,52 @@ def simulate(policy: ThresholdPolicy, trials: int, seed: int) -> SimResult:
     power of two is exact.  stderr is the sample standard deviation of the
     per-trial reward divided by sqrt(trials).
     """
+    for name, value in (("trials", trials), ("seed", seed)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValidationError(f"{name}={value!r} must be an integer")
     if trials < 1:
         raise ValidationError(f"trials={trials!r} must be at least 1")
     if not 0 <= seed < 2**128:
         raise ValidationError(f"seed {seed!r} must lie in [0, 2**128)")
     gen = np.random.Generator(np.random.Philox(key=seed))
     e = math.frexp(max(d.mean() for d in policy.entries))[1]
+    threshold = policy.threshold
+    size = min(trials, _BLOCK_TRIALS)
+    uniforms, rewards, maxima = np.empty(size), np.empty(size), np.empty(size)
+    waiting, hit = np.empty(size, dtype=bool), np.empty(size, dtype=bool)
     shift = None
     sums = []
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, trials, _BLOCK_TRIALS):
             m = min(_BLOCK_TRIALS, trials - start)
-            rewards = np.zeros(m)
-            maxima = np.zeros(m)
-            waiting = np.ones(m, dtype=bool)  # no entry accepted yet
+            u, reward, best, wait, accept = (
+                buf[:m] for buf in (uniforms, rewards, maxima, waiting, hit)
+            )
+            reward.fill(0.0)
+            best.fill(0.0)
+            wait.fill(True)  # no entry accepted yet
             for d in policy.entries:
-                x = d.draw(gen.random(m))
-                hit = waiting & (x >= policy.threshold)
-                np.copyto(rewards, x, where=hit)
-                waiting &= ~hit
-                np.maximum(maxima, x, out=maxima)
-            rewards = np.ldexp(rewards, -e)
-            maxima = np.ldexp(maxima, -e)
+                x = d.draw(gen.random(m, out=u))
+                np.maximum(best, x, out=best)
+                np.greater_equal(x, threshold, out=accept)
+                accept &= wait
+                wait ^= accept
+                # reward is +0.0, all bits clear, wherever wait held, and
+                # accept is a subset of it: OR-ing in the bits of x where
+                # accept holds stores x exactly, without a branch per trial.
+                # The uniforms are spent, so their buffer holds those bits.
+                pick = np.multiply(x.view(np.int64), accept, out=u.view(np.int64))
+                np.bitwise_or(reward.view(np.int64), pick, out=reward.view(np.int64))
+            np.ldexp(reward, -e, out=reward)
+            np.ldexp(best, -e, out=best)
             if shift is None:
                 # Deviations from the first trial are exactly zero when every
                 # trial is the same, so the means are then exact and stderr 0.
-                shift = rewards[0], maxima[0]
-            dev = rewards - shift[0]
-            sums.append((dev.sum(), np.square(dev).sum(), (maxima - shift[1]).sum()))
+                shift = reward[0], best[0]
+            reward -= shift[0]
+            best -= shift[1]
+            reward_sum = reward.sum()
+            sums.append((reward_sum, np.square(reward, out=reward).sum(), best.sum()))
         dev_sum, dev_sq, max_dev = (math.fsum(col) for col in zip(*sums))
         var = (dev_sq - dev_sum * dev_sum / trials) / max(trials - 1, 1)
         result = np.ldexp([shift[0] + dev_sum / trials, shift[1] + max_dev / trials,

@@ -5,10 +5,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from probemax import DiscreteFinite, Exponential, Uniform, ValidationError, point_mass
-from probemax.distributions import Mixture
+from probemax.distributions import _COUNT_DRAW_MAX_ATOMS, Mixture
 from probemax.errors import ZeroTail
 
 ATOL = 1e-12
@@ -152,6 +154,101 @@ class TestSampling:
         b = philox_draws(d, 3, 9)
         assert np.array_equal(a, b)
 
+
+
+def reference_draw(d, u):
+    """The clipped-searchsorted discrete draw over the full cumulative sums."""
+    idx = np.searchsorted(np.cumsum(d.probs), u, side="right")
+    return d.values[np.minimum(idx, len(d.values) - 1)]
+
+
+def reference_mixture_draw(d, u):
+    """Mixture draw by boolean gathers and scatters, branch by branch."""
+    w = d.weight
+    out = np.empty_like(u)
+    left = u < w
+    out[left] = d.left.draw(u[left] / w)
+    out[~left] = d.right.draw(np.minimum((u[~left] - w) / (1.0 - w), np.nextafter(1.0, 0.0)))
+    return out
+
+
+def same_bits(a, b):
+    return type(a) is type(b) and np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
+@st.composite
+def discretes(draw, max_atoms=_COUNT_DRAW_MAX_ATOMS + 32):
+    """m atoms with integer weights, a share of them tiny.
+
+    Tiny weights leave some cumulative sums equal (flat steps) and put cuts
+    a few ulps apart.  The weights come from a seeded numpy stream, which
+    keeps examples with many atoms cheap to generate.
+    """
+    m = draw(st.integers(1, max_atoms))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    weights = rng.integers(1, 11, m).astype(float)
+    tiny = rng.random(m) < draw(st.sampled_from((0.0, 0.1, 0.5)))
+    weights[tiny] = 10.0 ** -rng.uniform(6.0, 20.0, int(tiny.sum()))
+    values = rng.permutation(m) * draw(st.sampled_from((1.0, 0.375, 1e-300)))
+    probs = weights / math.fsum(weights)
+    return DiscreteFinite(list(zip(values.tolist(), probs.tolist())))
+
+
+def edge_uniforms(d):
+    """0, every cumulative sum, its float neighbours and the top uniform."""
+    cuts = np.cumsum(d.probs)
+    u = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], cuts,
+                        np.nextafter(cuts, 0.0), np.nextafter(cuts, 2.0)])
+    return u[(0.0 <= u) & (u < 1.0)]
+
+
+class TestDrawMatchesReference:
+    """The fast draws equal their reference forms bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(discretes(), st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=20))
+    @example(point_mass(0.0), [])
+    @example(DiscreteFinite([(1.0, 0.5), (1e-300, 0.5 - 1e-18), (2.0, 1e-18)]), [0.5])
+    def test_discrete(self, d, extra):
+        u = np.concatenate([edge_uniforms(d), extra])
+        assert same_bits(d.draw(u), reference_draw(d, u))
+        for one in u[:8]:
+            assert same_bits(d.draw(np.array(one)), reference_draw(d, np.array(one)))
+            assert same_bits(d.draw(float(one)), reference_draw(d, float(one)))
+
+    @pytest.mark.parametrize("m", [1, 2, _COUNT_DRAW_MAX_ATOMS, _COUNT_DRAW_MAX_ATOMS + 1, 300])
+    def test_discrete_both_sides_of_the_cutover(self, m):
+        d = DiscreteFinite([(float(i), 1.0 / m) for i in range(m)])
+        u = np.concatenate([edge_uniforms(d), np.random.default_rng(m).random(1000)])
+        assert same_bits(d.draw(u), reference_draw(d, u))
+        grid = u[: u.size // 2 * 2].reshape(2, -1)
+        assert same_bits(d.draw(grid), reference_draw(d, grid))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.0, 1.0)),
+        st.sampled_from([Uniform(0.0, 2.0), Exponential(0.7),
+                         DiscreteFinite([(0.5, 0.25), (3.0, 0.75)])]),
+        st.sampled_from([Exponential(1.5), Uniform(1.0, 4.0), point_mass(2.0)]),
+        st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=20),
+    )
+    def test_mixture(self, weight, left, right, extra):
+        d = Mixture(weight, left, right)
+        u = np.array([0.0, weight, np.nextafter(weight, 0.0), np.nextafter(weight, 1.0),
+                      np.nextafter(1.0, 0.0)] + extra)
+        u = u[(0.0 <= u) & (u < 1.0)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            draws = d.draw(u)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            assert same_bits(draws, reference_mixture_draw(d, u))
+
+    def test_exponential(self):
+        d = Exponential(0.37)
+        u = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], np.random.default_rng(1).random(1000)])
+        assert same_bits(d.draw(u), -np.log1p(-u) / d.rate)
+        for one in (np.array(u[5]), float(u[5])):
+            assert same_bits(d.draw(one), -np.log1p(-one) / d.rate)
 
 class TestIsContinuous:
     def test_families(self):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import random_continuous_instance
 from probemax import (
     Instance,
+    ThresholdPolicy,
     Uniform,
     evaluate,
     minimize_hmax,
@@ -205,6 +206,15 @@ class TestDerandomize:
         assert ell in der_order and m not in der_order
         unconditional = evaluate(policy).expected_reward
         assert der_reward >= unconditional - 1e-12
+
+    def test_branch_reward_is_the_closed_form_reward_without_the_convolution(self):
+        sol = compute_psi_star(TRIO, 2.0)
+        policy, order = build_policy(TRIO, sol)
+        with mock.patch("probemax.policy_eval.bernoulli_count_pmf",
+                        side_effect=AssertionError("E[reward] needs no count pmf")):
+            der_order, der_reward = derandomize(TRIO, sol, policy, order)
+        chosen = ThresholdPolicy([TRIO.dists[i] for i in der_order], policy.threshold)
+        assert der_reward == evaluate(chosen).expected_reward
 
 
 class TestPipeline:

@@ -93,6 +93,54 @@ class TestBernoulliConvolution:
         assert abs(stats.expected_b - stats.expected_excess - stats.prob_stop) <= 1e-12
 
 
+def _many_atoms(m):
+    weights = [i % 5 + 1 for i in range(m)]
+    total = sum(weights)
+    return DiscreteFinite(
+        [(0.1 * i + (i % 7) * 0.013, w / total) for i, w in enumerate(weights)]
+    )
+
+
+_TWO = DiscreteFinite([(1.0, 0.5), (3.0, 0.5)])
+_THREE = DiscreteFinite([(0.5, 0.2), (2.25, 0.3), (6.0, 0.5)])
+_FOUR = DiscreteFinite([(0.0, 0.1), (1.5, 0.4), (4.0, 0.3), (9.75, 0.2)])
+# (entries, threshold); 100 atoms lie above the discrete draw's searchsorted
+# cutover, 20 below it.
+PINNED_POLICIES = {
+    "point_mass": ([point_mass(2.5)], 1.0),
+    "small_discrete": ([_TWO, _THREE, _FOUR], 2.0),
+    "many_atoms": ([_many_atoms(20), _many_atoms(100)], 5.0),
+    "uniform": ([Uniform(0.0, 1.0), Uniform(1.5, 4.0)], 0.5),
+    "exponential": ([Exponential(2.0), Exponential(0.5)], 1.0),
+    "mixture": ([Mixture(0.3, Uniform(0.0, 2.0), Exponential(1.0)),
+                 Mixture(0.6, _THREE, Uniform(1.0, 3.0))], 1.2),
+    "mixture_edges": ([Mixture(0.0, Uniform(0.0, 2.0), Exponential(1.5)),
+                       Mixture(1.0, Exponential(0.7), _TWO)], 0.9),
+    "all_families": ([_THREE, Uniform(0.0, 5.0), point_mass(0.75), Exponential(0.8),
+                      _many_atoms(100), Mixture(0.45, _FOUR, Exponential(0.3)), _TWO], 2.5),
+}
+# float.hex of (mean_reward, mean_max, stderr), keyed by (policy, trials, seed).
+# 200929 = 3 * 2**16 + 4321 trials end in a partial block.
+PINNED_SIMULATIONS = {
+    ("point_mass", 1000, 7): ('0x1.4000000000000p+1', '0x1.4000000000000p+1', '0x0.0p+0'),
+    ("point_mass", 200929, 1267650600228229401496703205387): ('0x1.4000000000000p+1', '0x1.4000000000000p+1', '0x0.0p+0'),
+    ("small_discrete", 1000, 7): ('0x1.d083126e978d5p+1', '0x1.5ced916872b02p+2', '0x1.d1ba3364c1218p-5'),
+    ("small_discrete", 200929, 1267650600228229401496703205387): ('0x1.d38f0a36dd50dp+1', '0x1.6441d6e69212dp+2', '0x1.09360dff4ba4dp-8'),
+    ("many_atoms", 1000, 7): ('0x1.d8ea4a8c154cap+1', '0x1.47a98244e93e2p+2', '0x1.001e4929fdc48p-3'),
+    ("many_atoms", 200929, 1267650600228229401496703205387): ('0x1.e4e371fa502ebp+1', '0x1.4823589ea8e68p+2', '0x1.1dfb12d366554p-7'),
+    ("uniform", 1000, 7): ('0x1.c0b9e88d54fc2p+0', '0x1.5ff776a9f57a6p+1', '0x1.21bba59de5762p-5'),
+    ("uniform", 200929, 1267650600228229401496703205387): ('0x1.c03f17fe18e28p+0', '0x1.602ba0b976825p+1', '0x1.499669d11b8b0p-9'),
+    ("exponential", 1000, 7): ('0x1.cbb4267c21c22p+0', '0x1.10327e37bd39bp+1', '0x1.10b6b70849267p-4'),
+    ("exponential", 200929, 1267650600228229401496703205387): ('0x1.c6fc7dadfadefp+0', '0x1.0cfffb8ad9798p+1', '0x1.23b91c5a504e7p-8'),
+    ("mixture", 1000, 7): ('0x1.5b75581b95640p+1', '0x1.a25ec06309344p+1', '0x1.f9ed1776215c7p-5'),
+    ("mixture", 200929, 1267650600228229401496703205387): ('0x1.51ca6f76e8756p+1', '0x1.995de1a53b53fp+1', '0x1.13cc78a3f5a85p-8'),
+    ("mixture_edges", 1000, 7): ('0x1.4d36106d5e9bap+0', '0x1.a5613a31a7770p+0', '0x1.74e64c509a420p-5'),
+    ("mixture_edges", 200929, 1267650600228229401496703205387): ('0x1.52dee7cefd882p+0', '0x1.a3fc3468f9388p+0', '0x1.969e8c1ad2defp-9'),
+    ("all_families", 1000, 7): ('0x1.51e94288c5570p+2', '0x1.b793dc22ab3d6p+2', '0x1.b742511164b60p-5'),
+    ("all_families", 200929, 1267650600228229401496703205387): ('0x1.5294639b08a3ap+2', '0x1.b9355cb1a141dp+2', '0x1.e6aedf4ba6d92p-9'),
+}
+
+
 class TestSimulate:
     def test_point_mass_exact(self):
         result = simulate(ThresholdPolicy([point_mass(1.0)], 0.5), trials=100, seed=0)
@@ -132,9 +180,44 @@ class TestSimulate:
                 tracemalloc.stop()
         assert peaks[1] <= 1.25 * peaks[0], peaks
 
+    def test_memory_bounded_in_entries(self):
+        # Ten times the entries must not need more memory: the block buffers
+        # are reused from entry to entry.
+        entries = [Uniform(0, 1), Mixture(0.5, _THREE, Exponential(1.0)), _many_atoms(100)]
+        peaks = []
+        for copies in (1, 10):
+            tracemalloc.start()
+            try:
+                simulate(ThresholdPolicy(entries * copies, 0.6), 10**5, seed=4)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0], peaks
+
     def test_trials_validation(self):
         with pytest.raises(ValidationError):
             simulate(ThresholdPolicy([point_mass(1.0)], 0.5), trials=0, seed=0)
+
+    @pytest.mark.parametrize("trials, seed", [
+        (10.5, 0), (10.0, 0), (True, 0), ("10", 0), (np.int64(10), 0),
+        (10, 1.5), (10, True), (10, None), (10, "0"),
+    ])
+    def test_non_integer_trials_or_seed_rejected(self, trials, seed):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            simulate(ThresholdPolicy([point_mass(1.0)], 0.5), trials, seed)
+
+    @pytest.mark.parametrize("seed", [-1, 2**128])
+    def test_seed_range(self, seed):
+        with pytest.raises(ValidationError, match="must lie in"):
+            simulate(ThresholdPolicy([point_mass(1.0)], 0.5), 10, seed)
+
+    @pytest.mark.parametrize("key", sorted(PINNED_SIMULATIONS))
+    def test_pinned_bits(self, key):
+        # Samples and sums are fixed per seed, bit for bit, across versions.
+        name, trials, seed = key
+        entries, threshold = PINNED_POLICIES[name]
+        result = simulate(ThresholdPolicy(entries, threshold), trials, seed)
+        assert tuple(float.hex(x) for x in result) == PINNED_SIMULATIONS[key]
 
     @pytest.mark.parametrize("seed", range(12))
     def test_agreement_random_policies(self, seed):
