@@ -4,8 +4,8 @@ Output is CSV on stdout (or --out) so results stay diffable.  Variable
 indices are 1-based in all command input and output, matching the order of
 `dist` lines in the instance file; index sets are rendered `1|3|4`.
 
-Exit codes: 0 success, 1 validation or input error, 2 internal guarantee
-violation (a proven inequality failed, i.e. a bug).
+Exit codes: 0 success, 1 validation, input or usage error, 2 internal
+guarantee violation (a proven inequality failed, i.e. a bug).
 """
 
 from __future__ import annotations
@@ -59,26 +59,16 @@ def _parse_indices(spec: str, inst: Instance) -> tuple[int, ...]:
     return inst.subset([i - 1 for i in raw])
 
 
-def _write_csv(rows: list[dict], out_path: str | None, fieldnames=None) -> None:
-    """Write rows as CSV under `fieldnames`, by default the first row's keys.
-
-    Missing keys stay empty; `bench` names its columns for its empty suites.
-    """
+def _csv_text(rows: list[dict], fieldnames: list[str]) -> str:
+    """Render rows as CSV under `fieldnames`; missing keys stay empty."""
     buf = io.StringIO()
-    writer = csv.DictWriter(
-        buf, fieldnames=fieldnames or list(rows[0]), lineterminator="\n"
-    )
+    writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
     writer.writeheader()
     writer.writerows(rows)
-    text = buf.getvalue()
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+    return buf.getvalue()
 
 
-def _policy_from_args(args, inst: Instance) -> ThresholdPolicy:
+def _policy_from_args(inst: Instance, args) -> ThresholdPolicy:
     subset = _parse_indices(args.indices, inst)
     threshold = args.threshold if args.threshold is not None else rho(inst, subset)
     return ThresholdPolicy(
@@ -86,118 +76,88 @@ def _policy_from_args(args, inst: Instance) -> ThresholdPolicy:
     )
 
 
-def cmd_bound(args) -> None:
-    inst = parse_instance_file(args.file)
+def cmd_bound(inst: Instance, args) -> dict:
     bound = gap2_mod.narrow_interval(inst, args.epsilon)
-    _write_csv(
-        [{
-            "r_minus": bound.r_minus,
-            "r_plus": bound.r_plus,
-            "r_hat": bound.r_hat,
-            "u_star": bound.u_star,
-            "xi": bound.xi,
-            "iterations": bound.iterations,
-        }],
-        args.out,
-    )
+    return {
+        "r_minus": bound.r_minus,
+        "r_plus": bound.r_plus,
+        "r_hat": bound.r_hat,
+        "u_star": bound.u_star,
+        "xi": bound.xi,
+        "iterations": bound.iterations,
+    }
 
 
-def cmd_gap2(args) -> None:
-    inst = parse_instance_file(args.file)
+def cmd_gap2(inst: Instance, args) -> dict:
     result = gap2_mod.select_gap2_set(inst, args.epsilon)
-    _write_csv(
-        [{
-            "chosen": _render_set(result.chosen),
-            "threshold": result.threshold,
-            "s_tilde_plus": _render_set(result.s_tilde_plus),
-            "s_tilde_minus": _render_set(result.s_tilde_minus),
-            "rho_plus": result.rho_plus,
-            "rho_minus": result.rho_minus,
-            "u_star": result.bound.u_star,
-            "epsilon": result.epsilon,
-        }],
-        args.out,
-    )
+    return {
+        "chosen": _render_set(result.chosen),
+        "threshold": result.threshold,
+        "s_tilde_plus": _render_set(result.s_tilde_plus),
+        "s_tilde_minus": _render_set(result.s_tilde_minus),
+        "rho_plus": result.rho_plus,
+        "rho_minus": result.rho_minus,
+        "u_star": result.bound.u_star,
+        "epsilon": result.epsilon,
+    }
 
 
-def cmd_gapcont(args) -> None:
-    inst = parse_instance_file(args.file)
+def cmd_gapcont(inst: Instance, args) -> dict:
     result = cont_mod.solve_continuous(inst)
     sol = result.solution
-    _write_csv(
-        [{
-            "r_star": sol.r_star,
-            "u_star": result.bound.u_star,
-            "alpha": sol.alpha,
-            "frac_pair": _render_set(sol.frac_pair) if sol.frac_pair else "",
-            "expected_reward": result.stats.expected_reward,
-            "expected_b": result.stats.expected_b,
-            "derandomized_set": _render_set(sorted(result.derandomized_order)),
-            "derandomized_order": _render_set(result.derandomized_order),
-            "derandomized_reward": result.derandomized_reward,
-        }],
-        args.out,
-    )
+    return {
+        "r_star": sol.r_star,
+        "u_star": result.bound.u_star,
+        "alpha": sol.alpha,
+        "frac_pair": _render_set(sol.frac_pair) if sol.frac_pair else "",
+        "expected_reward": result.stats.expected_reward,
+        "expected_b": result.stats.expected_b,
+        "derandomized_set": _render_set(sorted(result.derandomized_order)),
+        "derandomized_order": _render_set(result.derandomized_order),
+        "derandomized_reward": result.derandomized_reward,
+    }
 
 
-def cmd_oracle(args) -> None:
-    inst = parse_instance_file(args.file)
+def cmd_oracle(inst: Instance, args) -> dict:
     a_star = oracles.adaptive_optimum_dp(inst)
     s_star, s_set = oracles.static_optimum_enum(inst)
     u_star = gap2_mod.narrow_interval(inst, args.epsilon).u_star
-    _write_csv(
-        [{
-            "a_star": a_star,
-            "s_star": s_star,
-            "u_star": u_star,
-            "s_witness": _render_set(s_set),
-        }],
-        args.out,
-    )
+    return {
+        "a_star": a_star,
+        "s_star": s_star,
+        "u_star": u_star,
+        "s_witness": _render_set(s_set),
+    }
 
 
-def cmd_eval(args) -> None:
-    inst = parse_instance_file(args.file)
-    policy = _policy_from_args(args, inst)
+def cmd_eval(inst: Instance, args) -> dict:
+    policy = _policy_from_args(inst, args)
     stats = evaluate(policy)
-    _write_csv(
-        [{
-            "threshold": policy.threshold,
-            "expected_reward": stats.expected_reward,
-            "expected_b": stats.expected_b,
-            "prob_stop": stats.prob_stop,
-            "expected_sum": stats.expected_sum,
-            "expected_excess": stats.expected_excess,
-        }],
-        args.out,
-    )
+    return {
+        "threshold": policy.threshold,
+        "expected_reward": stats.expected_reward,
+        "expected_b": stats.expected_b,
+        "prob_stop": stats.prob_stop,
+        "expected_sum": stats.expected_sum,
+        "expected_excess": stats.expected_excess,
+    }
 
 
-def cmd_simulate(args) -> None:
-    inst = parse_instance_file(args.file)
-    policy = _policy_from_args(args, inst)
+def cmd_simulate(inst: Instance, args) -> dict:
+    policy = _policy_from_args(inst, args)
     result = simulate(policy, trials=args.trials, seed=args.seed)
-    _write_csv(
-        [{
-            "threshold": policy.threshold,
-            "mean_reward": result.mean_reward,
-            "mean_max": result.mean_max,
-            "stderr": result.stderr,
-            "trials": args.trials,
-            "seed": args.seed,
-        }],
-        args.out,
-    )
+    return {
+        "threshold": policy.threshold,
+        "mean_reward": result.mean_reward,
+        "mean_max": result.mean_max,
+        "stderr": result.stderr,
+        "trials": args.trials,
+        "seed": args.seed,
+    }
 
 
-def cmd_gen(args) -> None:
-    inst = gen_instance(args.n, args.k, args.family, args.seed)
-    text = emit_instance(inst)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
+def cmd_gen(args) -> str:
+    return emit_instance(gen_instance(args.n, args.k, args.family, args.seed))
 
 
 BENCH_FIELDS = [
@@ -264,7 +224,7 @@ def _summary_rows(rows: list[dict]) -> list[dict]:
     return out
 
 
-def cmd_bench(args) -> None:
+def cmd_bench(args) -> str:
     if args.n_min < 1 or args.n_max < args.n_min:
         raise ValidationError(f"bad size range [{args.n_min}, {args.n_max}]")
     if args.seed < 0:
@@ -282,19 +242,26 @@ def cmd_bench(args) -> None:
         rows.append(_bench_row(instance_id, args.family, inst, args.epsilon))
     if rows:
         rows.extend(_summary_rows(rows))
-    _write_csv(rows, args.out, fieldnames=BENCH_FIELDS)
+    return _csv_text(rows, BENCH_FIELDS)
+
+
+class _Parser(argparse.ArgumentParser):
+    """argparse with usage errors exiting 1: exit 2 means a guarantee failed."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="probemax",
         description="Min-max bounds and threshold probing sets for ProbeMax instances",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, file_arg=True):
-        if file_arg:
-            p.add_argument("file", help="instance file path")
+    def add_common(p):
+        p.add_argument("file", help="instance file path")
         p.add_argument("--out", default=None, help="write CSV here instead of stdout")
 
     p = sub.add_parser("bound", help="bracket the min-max upper bound")
@@ -359,16 +326,23 @@ _PARSER = build_parser()
 
 
 def main(argv=None) -> int:
+    """Run one command; its CSV or instance text goes to --out or stdout."""
     args = _PARSER.parse_args(argv)
     try:
-        args.func(args)
+        if "file" in args:
+            row = args.func(parse_instance_file(args.file), args)
+            text = _csv_text([row], list(row))
+        else:
+            text = args.func(args)
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        else:
+            sys.stdout.write(text)
     except GuaranteeViolation as exc:
         print(f"internal guarantee violation: {exc}", file=sys.stderr)
         return 2
-    except ProbemaxError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ProbemaxError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

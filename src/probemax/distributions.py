@@ -68,16 +68,13 @@ class Distribution(ABC):
             raise ZeroTail(f"P(X >= {r!r}) = 0, conditional expectation undefined")
         return self.tail_moment_one(r) / s
 
+    @abstractmethod
     def g_value(self, r: float) -> float:
         """E[(X - r)^+] = P(X >= r) * (E[X | X >= r] - r).
 
         Returns 0 on an empty tail, absorbing the ZeroTail case.  Weakly
-        decreasing and convex in r; equals mean() at r <= 0.
+        decreasing and convex in r; equals mean() - r at r <= 0.
         """
-        s = self.survival(r)
-        if s <= 0.0:
-            return 0.0
-        return max(self.tail_moment_one(r) - r * s, 0.0)
 
 
 class DiscreteFinite(Distribution):
@@ -141,7 +138,7 @@ class DiscreteFinite(Distribution):
         return self._tail_pv[bisect_left(self._vals, r)]
 
     def g_value(self, r: float) -> float:
-        # Distribution.g_value with one shared lookup.
+        # tail_moment_one(r) - r * survival(r), with one shared lookup.
         idx = bisect_left(self._vals, r)
         s = 1.0 if idx == 0 else self._tail_p[idx]
         if s <= 0.0:

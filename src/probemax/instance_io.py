@@ -22,67 +22,62 @@ from .minmax import Instance
 GEN_FAMILIES = ("discrete", "uniform", "exponential", "mixed")
 
 
-def _parse_float(token: str, line_no: int, field: str) -> float:
+def _parse_float(token: str, field: str) -> float:
     try:
         return float(token)
     except ValueError:
-        raise ValidationError(f"line {line_no}: field {field!r}: not a number: {token!r}")
+        raise ValidationError(f"field {field!r}: not a number: {token!r}")
 
 
-def _parse_keyed_floats(tokens: list[str], keys: tuple[str, ...], line_no: int) -> dict:
+def _parse_keyed_floats(tokens: list[str], keys: tuple[str, ...]) -> dict:
     """Parse `key value [key value ...]` pairs, scalar or list-valued per key."""
     out: dict[str, list[float]] = {}
     current = None
     for tok in tokens:
         if tok in keys:
             if tok in out:
-                raise ValidationError(f"line {line_no}: field {tok!r} repeated")
+                raise ValidationError(f"field {tok!r} repeated")
             current = tok
             out[tok] = []
         elif current is None:
-            raise ValidationError(f"line {line_no}: expected one of {keys}, got {tok!r}")
+            raise ValidationError(f"expected one of {keys}, got {tok!r}")
         else:
-            out[current].append(_parse_float(tok, line_no, current))
+            out[current].append(_parse_float(tok, current))
     for key in keys:
         if key not in out or not out[key]:
-            raise ValidationError(f"line {line_no}: missing field {key!r}")
+            raise ValidationError(f"missing field {key!r}")
     return out
 
 
-def _parse_dist(tokens: list[str], line_no: int) -> Distribution:
+def _parse_dist(tokens: list[str]) -> Distribution:
     if not tokens:
-        raise ValidationError(f"line {line_no}: field 'kind' missing after 'dist'")
+        raise ValidationError("field 'kind' missing after 'dist'")
     kind, rest = tokens[0], tokens[1:]
-    try:
-        if kind == "discrete":
-            fields = _parse_keyed_floats(rest, ("values", "probs"), line_no)
-            if len(fields["values"]) != len(fields["probs"]):
-                raise ValidationError(
-                    f"line {line_no}: field 'probs': expected "
-                    f"{len(fields['values'])} entries, got {len(fields['probs'])}"
-                )
-            return DiscreteFinite(list(zip(fields["values"], fields["probs"])))
-        if kind == "uniform":
-            fields = _parse_keyed_floats(rest, ("a", "b"), line_no)
-            return Uniform(fields["a"][0], fields["b"][0])
-        if kind == "exponential":
-            fields = _parse_keyed_floats(rest, ("rate",), line_no)
-            return Exponential(fields["rate"][0])
-    except ValidationError as exc:
-        if str(exc).startswith("line "):
-            raise
-        raise ValidationError(f"line {line_no}: {exc}") from exc
-    raise ValidationError(f"line {line_no}: field 'kind': unknown kind {kind!r}")
+    if kind == "discrete":
+        fields = _parse_keyed_floats(rest, ("values", "probs"))
+        if len(fields["values"]) != len(fields["probs"]):
+            raise ValidationError(
+                f"field 'probs': expected {len(fields['values'])} entries, "
+                f"got {len(fields['probs'])}"
+            )
+        return DiscreteFinite(list(zip(fields["values"], fields["probs"])))
+    if kind == "uniform":
+        fields = _parse_keyed_floats(rest, ("a", "b"))
+        return Uniform(fields["a"][0], fields["b"][0])
+    if kind == "exponential":
+        fields = _parse_keyed_floats(rest, ("rate",))
+        return Exponential(fields["rate"][0])
+    raise ValidationError(f"field 'kind': unknown kind {kind!r}")
 
 
-def _parse_k(tokens: list[str], line_no: int) -> int:
+def _parse_k(tokens: list[str]) -> int:
     # isdigit() admits strings int() rejects, such as "--2" and "²".
     try:
         if len(tokens) == 2 and tokens[1].lstrip("-").isdigit():
             return int(tokens[1])
     except ValueError:
         pass
-    raise ValidationError(f"line {line_no}: field 'k': expected one integer")
+    raise ValidationError("field 'k': expected one integer")
 
 
 def parse_instance_text(text: str) -> Instance:
@@ -94,14 +89,17 @@ def parse_instance_text(text: str) -> Instance:
         if not line:
             continue
         tokens = line.split()
-        if tokens[0] == "k":
-            if k is not None:
-                raise ValidationError(f"line {line_no}: field 'k' repeated")
-            k = _parse_k(tokens, line_no)
-        elif tokens[0] == "dist":
-            dists.append(_parse_dist(tokens[1:], line_no))
-        else:
-            raise ValidationError(f"line {line_no}: expected 'k' or 'dist', got {tokens[0]!r}")
+        try:
+            if tokens[0] == "k":
+                if k is not None:
+                    raise ValidationError("field 'k' repeated")
+                k = _parse_k(tokens)
+            elif tokens[0] == "dist":
+                dists.append(_parse_dist(tokens[1:]))
+            else:
+                raise ValidationError(f"expected 'k' or 'dist', got {tokens[0]!r}")
+        except ValidationError as exc:
+            raise ValidationError(f"line {line_no}: {exc}") from exc
     if k is None:
         raise ValidationError("field 'k' missing")
     if not dists:
@@ -110,8 +108,14 @@ def parse_instance_text(text: str) -> Instance:
 
 
 def parse_instance_file(path: str) -> Instance:
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_instance_text(handle.read())
+    # Decoded whole, so a decode error's offset counts from the file's start.
+    with open(path, "rb") as handle:
+        data = handle.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: byte {exc.start}: not UTF-8 ({exc.reason})") from None
+    return parse_instance_text(text)
 
 
 def emit_instance(inst: Instance) -> str:

@@ -37,7 +37,7 @@ def _require_discrete(inst: Instance) -> list[DiscreteFinite]:
     return members
 
 
-def adaptive_optimum_dp(inst: Instance, max_states: int = MAX_DP_STATES) -> float:
+def adaptive_optimum_dp(inst: Instance) -> float:
     """Exact expected maximum of an optimal adaptive probing policy.
 
     Memoized over (best value, unprobed bitmask); the remaining budget is k
@@ -50,10 +50,8 @@ def adaptive_optimum_dp(inst: Instance, max_states: int = MAX_DP_STATES) -> floa
     members = _require_discrete(inst)
     grid_size = 1 + sum(len(d.values) for d in members)
     state_bound = (inst.k + 1) * (2 ** inst.n) * grid_size
-    if state_bound > max_states:
-        raise InstanceTooLarge(
-            f"state bound {state_bound} exceeds budget {max_states}"
-        )
+    if state_bound > MAX_DP_STATES:
+        raise InstanceTooLarge(f"state bound {state_bound} exceeds budget {MAX_DP_STATES}")
     supports = [
         (i, 1 << i, list(zip(d.values.tolist(), d.probs.tolist())))
         for i, d in enumerate(members)
@@ -96,9 +94,7 @@ def adaptive_optimum_dp(inst: Instance, max_states: int = MAX_DP_STATES) -> floa
         last.clear()
 
 
-def static_optimum_enum(
-    inst: Instance, max_subsets: int = MAX_ENUM_SUBSETS
-) -> tuple[float, tuple[int, ...]]:
+def static_optimum_enum(inst: Instance) -> tuple[float, tuple[int, ...]]:
     """Best size-k subset of a discrete instance by exhaustive enumeration.
 
     Every subset is scored by its exact expected maximum, as
@@ -107,8 +103,8 @@ def static_optimum_enum(
     """
     members = _require_discrete(inst)
     total = math.comb(inst.n, inst.k)
-    if total > max_subsets:
-        raise InstanceTooLarge(f"{total} subsets exceed budget {max_subsets}")
+    if total > MAX_ENUM_SUBSETS:
+        raise InstanceTooLarge(f"{total} subsets exceed budget {MAX_ENUM_SUBSETS}")
     grid_size = len({v for d in members for v in d.values.tolist()})
     subsets = combinations(range(inst.n), inst.k)
     best_value, best_subset = -math.inf, None

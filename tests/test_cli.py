@@ -191,6 +191,15 @@ class TestCommands:
         assert code == 1
         assert "k=3" in err
 
+    def test_non_utf8_file_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "bad.inst"
+        path.write_bytes(b"k 1\ndist uniform a 0 b 1\n\xff\xfe\n")
+        code, out, err = run_cli(["bound", str(path)], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(path) in err and "byte 25" in err and "UTF-8" in err
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(["bound", "/nonexistent/file.inst"], capsys)
         assert code == 1
@@ -438,6 +447,36 @@ def test_seed_out_of_range_exit_code(tmp_path, capsys, argv):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "seed" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gap2", "{file}", "--epsilon", "abc"],
+        ["simulate", "{file}", "--indices", "1", "--trials", "1e6"],
+        ["nosuch"],
+        ["eval", "{file}"],
+    ],
+    ids=["bad-float", "bad-int", "unknown-command", "missing-required"],
+)
+def test_usage_error_exit_code(tmp_path, capsys, argv):
+    path = tmp_path / "u.inst"
+    path.write_text(TWO_UNIFORM_TEXT)
+    with pytest.raises(SystemExit) as exc:
+        main([str(path) if a == "{file}" else a for a in argv])
+    captured = capsys.readouterr()
+    assert exc.value.code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("usage: probemax")
+    last = captured.err.splitlines()[-1]
+    assert last.startswith("probemax") and ": error: " in last
+
+
+def test_help_exit_code(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["gap2", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: probemax gap2")
 
 
 def test_main_reuses_one_parser(monkeypatch, tmp_path, capsys):

@@ -120,9 +120,10 @@ class TestAdaptiveOptimumDP:
         assert unreachable < 100  # the recursive closure, not the caches' entries
 
     def test_state_budget(self):
-        inst = Instance([COIN] * 8, 4)
-        with pytest.raises(InstanceTooLarge):
-            adaptive_optimum_dp(inst, max_states=100)
+        # (k + 1) * 2^n * (1 + atoms) = 11 * 2^20 * 41, about 4.7e8 states.
+        inst = Instance([COIN] * 20, 10)
+        with pytest.raises(InstanceTooLarge, match="exceeds budget 5000000"):
+            adaptive_optimum_dp(inst)
 
 
 class TestStaticOptimumEnum:
@@ -138,9 +139,9 @@ class TestStaticOptimumEnum:
         assert (value, argmax) == (pytest.approx(3.0), (2,))
 
     def test_subset_budget(self):
-        inst = Instance([COIN] * 10, 5)
-        with pytest.raises(InstanceTooLarge):
-            static_optimum_enum(inst, max_subsets=10)
+        inst = Instance([COIN] * 20, 10)
+        with pytest.raises(InstanceTooLarge, match="184756 subsets exceed budget 100000"):
+            static_optimum_enum(inst)
 
     def test_memory_bounded_in_the_number_of_subsets(self):
         # Every variable has atoms on one 1500-point grid, so both instances
