@@ -225,10 +225,13 @@ def _summary_rows(rows: list[dict]) -> list[dict]:
 
 
 def cmd_bench(args) -> str:
+    if args.count < 0:
+        raise ValidationError(f"--count {args.count!r} must be non-negative")
     if args.n_min < 1 or args.n_max < args.n_min:
         raise ValidationError(f"bad size range [{args.n_min}, {args.n_max}]")
     if args.seed < 0:
         raise ValidationError(f"seed {args.seed!r} must be non-negative")
+    gap2_mod.check_epsilon(args.epsilon)  # for every family, though only discrete rows use it
     rows = []
     for instance_id in range(args.count):
         seed = args.seed + instance_id

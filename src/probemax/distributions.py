@@ -115,7 +115,9 @@ class DiscreteFinite(Distribution):
         ))[::-1] + (0.0,)
 
     def __repr__(self) -> str:
-        pairs = ", ".join(f"({v!r}, {p!r})" for v, p in zip(self.values, self.probs))
+        pairs = ", ".join(
+            f"({v!r}, {p!r})" for v, p in zip(self.values.tolist(), self.probs.tolist())
+        )
         return f"DiscreteFinite([{pairs}])"
 
     def __eq__(self, other) -> bool:

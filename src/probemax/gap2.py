@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import GuaranteeViolation, InvalidEpsilon
 from .minmax import BoundResult, Instance, g_values, minimize_hmax, rho
@@ -37,21 +38,24 @@ XI_DENOMINATOR = 20.0
 class TieClass:
     """Structure of the envelope maximizers at an anchor point.
 
-    order sorts all indices by weakly-decreasing G_i(anchor); positions
-    k_minus..k_plus (0-based, inclusive) share the G value at position k-1.
-    Every envelope-achieving size-k set is prefix plus `slots` members of the
-    tied block.
+    Every envelope-achieving size-k set is the forced prefix plus `slots`
+    members of the tied block.  Both hold indices by weakly-decreasing
+    G_i(anchor), ties by lowest index, so prefix + tied[:slots] is the k
+    largest G values.
     """
 
-    order: tuple[int, ...]
-    k_minus: int
-    k_plus: int
     prefix: tuple[int, ...]
+    tied: tuple[int, ...]
     slots: int
 
-    @property
-    def tied(self) -> tuple[int, ...]:
-        return self.order[self.k_minus : self.k_plus + 1]
+    def fill(self, key: Callable[[int], float]) -> tuple[int, ...]:
+        """The maximizer whose `slots` tied members have the largest key(i).
+
+        Ties in key break toward the lowest index; the set comes back sorted.
+        """
+        # Index order first, so the sort, stable under reverse, breaks ties by index.
+        chosen = sorted(sorted(self.tied), key=key, reverse=True)[: self.slots]
+        return tuple(sorted(self.prefix + tuple(chosen)))
 
 
 def tie_class_at(inst: Instance, r_anchor: float, tol: float = TIE_TOL) -> TieClass:
@@ -69,10 +73,8 @@ def tie_class_at(inst: Instance, r_anchor: float, tol: float = TIE_TOL) -> TieCl
     while k_plus + 1 < inst.n and abs(gs[order[k_plus + 1]] - pivot) <= tol * inst.mu_max:
         k_plus += 1
     return TieClass(
-        order=tuple(order),
-        k_minus=k_minus,
-        k_plus=k_plus,
         prefix=tuple(order[:k_minus]),
+        tied=tuple(order[k_minus : k_plus + 1]),
         slots=inst.k - k_minus,
     )
 
@@ -92,10 +94,15 @@ class Gap2Result:
     instance: Instance
 
 
-def narrow_interval(inst: Instance, epsilon: float) -> BoundResult:
-    """Bracket a minimizer of the envelope to width epsilon * mu_max / (20 k)."""
+def check_epsilon(epsilon: float) -> None:
+    """Raise InvalidEpsilon unless 0 < epsilon < 1."""
     if not (isinstance(epsilon, (int, float)) and 0.0 < epsilon < 1.0):
         raise InvalidEpsilon(f"epsilon={epsilon!r} must lie strictly inside (0, 1)")
+
+
+def narrow_interval(inst: Instance, epsilon: float) -> BoundResult:
+    """Bracket a minimizer of the envelope to width epsilon * mu_max / (20 k)."""
+    check_epsilon(epsilon)
     xi = epsilon * inst.mu_max / (XI_DENOMINATOR * inst.k)
     return minimize_hmax(inst, xi)
 
@@ -103,15 +110,10 @@ def narrow_interval(inst: Instance, epsilon: float) -> BoundResult:
 def build_tilde_set(inst: Instance, r_anchor: float, r_probe: float) -> tuple[int, ...]:
     """The envelope maximizer at r_anchor that maximizes tail moments at r_probe.
 
-    Sorting by G_i(r_anchor) fixes a forced prefix; the slots left inside the
-    tie class are filled in weakly-decreasing order of G_i(r_probe), ties by
-    lowest index.
+    The tie class at r_anchor fixes a forced prefix; its slots are filled by
+    the largest G_i(r_probe), ties by lowest index.
     """
-    tc = tie_class_at(inst, r_anchor)
-    gs_probe = g_values(inst, r_probe)
-    # tc.tied is in anchor order; index order first lets the stable sort break ties.
-    fill = sorted(sorted(tc.tied), key=gs_probe.__getitem__, reverse=True)[: tc.slots]
-    return tuple(sorted(tc.prefix + tuple(fill)))
+    return tie_class_at(inst, r_anchor).fill(g_values(inst, r_probe).__getitem__)
 
 
 def select_gap2_set(inst: Instance, epsilon: float = 0.05) -> Gap2Result:

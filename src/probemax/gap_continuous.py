@@ -75,20 +75,14 @@ def construct_s_minus_plus(
 ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Extreme-derivative envelope maximizers at r_star.
 
-    Both sets take the forced prefix of the tie class; the remaining slots
-    are filled by weakly-increasing survival for the first set (maximizing
-    the derivative of H) and weakly-decreasing survival for the second
-    (minimizing it).  Ties break toward the lowest index.
+    Both sets fill the slots of the tie class by survival at r_star: the
+    first with the lowest (maximizing the derivative of H), the second with
+    the highest (minimizing it).  Ties break toward the lowest index.
     """
     _require_continuous(inst)
     tc = tie_class_at(inst, r_star, tol=CONT_TIE_TOL)
-    tied = sorted(tc.tied)  # index order, so the stable sorts below break ties by index
-    surv = {i: inst.dists[i].survival(r_star) for i in tied}
-    lo_first = sorted(tied, key=surv.__getitem__)[: tc.slots]
-    hi_first = sorted(tied, key=surv.__getitem__, reverse=True)[: tc.slots]
-    s_minus = tuple(sorted(tc.prefix + tuple(lo_first)))
-    s_plus = tuple(sorted(tc.prefix + tuple(hi_first)))
-    return s_minus, s_plus
+    surv = {i: inst.dists[i].survival(r_star) for i in tc.tied}
+    return tc.fill(lambda i: -surv[i]), tc.fill(surv.__getitem__)
 
 
 def maximize_overlap(

@@ -49,6 +49,13 @@ def _parse_keyed_floats(tokens: list[str], keys: tuple[str, ...]) -> dict:
     return out
 
 
+def _scalar(fields: dict, key: str) -> float:
+    values = fields[key]
+    if len(values) != 1:
+        raise ValidationError(f"field {key!r}: expected one number, got {len(values)}")
+    return values[0]
+
+
 def _parse_dist(tokens: list[str]) -> Distribution:
     if not tokens:
         raise ValidationError("field 'kind' missing after 'dist'")
@@ -63,10 +70,10 @@ def _parse_dist(tokens: list[str]) -> Distribution:
         return DiscreteFinite(list(zip(fields["values"], fields["probs"])))
     if kind == "uniform":
         fields = _parse_keyed_floats(rest, ("a", "b"))
-        return Uniform(fields["a"][0], fields["b"][0])
+        return Uniform(_scalar(fields, "a"), _scalar(fields, "b"))
     if kind == "exponential":
         fields = _parse_keyed_floats(rest, ("rate",))
-        return Exponential(fields["rate"][0])
+        return Exponential(_scalar(fields, "rate"))
     raise ValidationError(f"field 'kind': unknown kind {kind!r}")
 
 

@@ -108,17 +108,13 @@ def h_value(inst: Instance, r: float, subset: Iterable[int]) -> float:
     return r + math.fsum(inst.dists[i].g_value(r) for i in idx)
 
 
-def h_max(inst: Instance, r: float) -> tuple[float, tuple[int, ...]]:
-    """Upper envelope H_max(r) and a witnessing size-k subset.
+def h_max(inst: Instance, r: float) -> float:
+    """Upper envelope H_max(r) = r + the sum of the k largest G_i(r).
 
-    The maximizer picks the k largest G_i(r); ties break toward the lowest
-    index so results are reproducible (the sort is stable under reverse).
+    fsum is correctly rounded, so the value depends only on the multiset of
+    the k largest values; gap2.tie_class_at gives the maximizing sets.
     """
-    gs = g_values(inst, r)
-    order = sorted(range(inst.n), key=gs.__getitem__, reverse=True)
-    top = order[: inst.k]
-    value = r + math.fsum(gs[i] for i in top)
-    return value, tuple(sorted(top))
+    return r + math.fsum(sorted(g_values(inst, r), reverse=True)[: inst.k])
 
 
 def minimize_hmax(inst: Instance, xi_target: float) -> BoundResult:
@@ -143,23 +139,23 @@ def minimize_hmax(inst: Instance, xi_target: float) -> BoundResult:
     if hi - lo > xi_target:
         c = hi - INV_PHI * (hi - lo)
         d = lo + INV_PHI * (hi - lo)
-        fc, _ = h_max(inst, c)
-        fd, _ = h_max(inst, d)
+        fc = h_max(inst, c)
+        fd = h_max(inst, d)
         while hi - lo > xi_target:
             width = hi - lo
             if fc < fd:
                 hi, d, fd = d, c, fc
                 c = hi - INV_PHI * (hi - lo)
-                fc, _ = h_max(inst, c)
+                fc = h_max(inst, c)
             else:
                 lo, c, fc = c, d, fd
                 d = lo + INV_PHI * (hi - lo)
-                fd, _ = h_max(inst, d)
+                fd = h_max(inst, d)
             iterations += 1
             if hi - lo >= width:
                 break  # the bracket is a few ulps wide and cannot shrink further
     r_hat = 0.5 * (lo + hi)
-    u_star, _ = h_max(inst, r_hat)
+    u_star = h_max(inst, r_hat)
     if not math.isfinite(u_star):
         raise ValidationError(
             f"upper bound U* overflows to {u_star!r} at r_hat={r_hat!r}; "

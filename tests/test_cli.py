@@ -6,9 +6,11 @@ import io
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from probemax import Instance, Uniform, ValidationError, point_mass
-from probemax.cli import main
+from probemax import Instance, ProbemaxError, Uniform, ValidationError, point_mass
+from probemax.cli import BENCH_FAMILIES, main
 from probemax.instance_io import (
     emit_instance,
     gen_instance,
@@ -27,6 +29,27 @@ k 2
 dist discrete values 0.0 1.0 probs 0.5 0.5
 dist discrete values 0.6 probs 1.0
 """
+
+
+#: Keywords, numbers at the float edges and stray text after a line head, so
+#: fuzzed lines reach every branch of the parser.
+FILE_TOKENS = st.one_of(
+    st.sampled_from((
+        "k", "dist", "discrete", "uniform", "exponential", "values", "probs", "a",
+        "b", "rate", "#", "0", "-0", "1", "2", "0.5", "-1", "1e308", "1e309", "5e-324",
+        "nan", "inf", "-inf", "1_0", "0x10", "--2", "\u00b2", "\u0661",
+    )),
+    st.text(max_size=4),
+)
+FILE_LINES = st.one_of(
+    st.builds("k {}".format, FILE_TOKENS),
+    st.builds(
+        lambda head, rest: " ".join([head] + rest),
+        st.sampled_from(("", "k", "dist", "dist discrete values", "dist uniform a",
+                         "dist exponential rate")),
+        st.lists(FILE_TOKENS, max_size=6),
+    ),
+)
 
 
 def run_cli(args, capsys):
@@ -71,6 +94,25 @@ class TestInstanceFiles:
     def test_prob_mismatch_is_flagged(self):
         with pytest.raises(ValidationError, match="line 2"):
             parse_instance_text("k 1\ndist discrete values 1 2 probs 1.0\n")
+
+    @pytest.mark.parametrize(
+        "line, field, count",
+        [("dist uniform a 0 5 b 1", "a", 2), ("dist uniform a 0 b 1 2", "b", 2),
+         ("dist exponential rate 1 2 3", "rate", 3)],
+    )
+    def test_scalar_field_takes_one_number(self, line, field, count):
+        with pytest.raises(
+            ValidationError, match=f"^line 2: field '{field}': expected one number, got {count}$"
+        ):
+            parse_instance_text(f"k 1\n{line}\n")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(FILE_LINES, max_size=6))
+    def test_fuzzed_text_raises_only_probemax_errors(self, lines):
+        try:
+            parse_instance_text("\n".join(lines))
+        except ProbemaxError:
+            pass
 
 
 class TestGen:
@@ -304,6 +346,19 @@ class TestBench:
         code, out, _ = run_cli(["bench", "--count", "2", "--family", "discrete"], capsys)
         assert code == 0
         assert [r["status"] for r in read_rows(out)] == ["ok", "ok", "", ""]
+
+    def test_epsilon_checked_for_every_family(self, capsys):
+        for family in BENCH_FAMILIES:
+            code, out, err = run_cli(
+                ["bench", "--count", "1", "--family", family, "--epsilon", "2"], capsys
+            )
+            assert (code, out) == (1, "")
+            assert err == "error: epsilon=2.0 must lie strictly inside (0, 1)\n"
+
+    def test_negative_count_rejected(self, capsys):
+        code, out, err = run_cli(["bench", "--count", "-2", "--family", "uniform"], capsys)
+        assert (code, out) == (1, "")
+        assert err == "error: --count -2 must be non-negative\n"
 
 
 class TestExtremeScales:

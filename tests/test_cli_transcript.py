@@ -58,6 +58,8 @@ EDGE = {
     "field-repeated": ("k 1\ndist uniform a 0 a 1 b 2\n", "1"),
     "field-unkeyed": ("k 1\ndist uniform 0 b 1\n", "1"),
     "field-missing": ("k 1\ndist exponential\n", "1"),
+    "field-extra-number": ("k 1\ndist uniform a 0 5 b 1\n", "1"),
+    "field-extra-numbers": ("k 1\ndist exponential rate 1 2 3\n", "1"),
     "uniform-reversed": ("k 1\ndist uniform a 2 b 1\n", "1"),
     "uniform-infinite": ("k 1\ndist uniform a 0 b inf\n", "1"),
     "probs-sum": ("k 1\ndist discrete values 1 2 probs 0.5 0.4\n", "1"),

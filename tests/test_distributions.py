@@ -263,6 +263,22 @@ class TestIsContinuous:
         assert not Mixture(0.5, Uniform(0, 1), point_mass(1.0)).is_continuous
 
 
+@pytest.mark.parametrize(
+    "d",
+    [
+        DiscreteFinite([(0.0, 0.25), (1.5, 0.75)]),
+        Uniform(0.1, 2.0),
+        Exponential(0.7),
+        Mixture(0.45, DiscreteFinite([(1e-300, 0.5), (3.0, 0.5)]), Exponential(2.0)),
+    ],
+    ids=["discrete", "uniform", "exponential", "mixture"],
+)
+def test_repr_round_trips(d):
+    names = {"DiscreteFinite": DiscreteFinite, "Uniform": Uniform,
+             "Exponential": Exponential, "Mixture": Mixture}
+    assert eval(repr(d), names) == d
+
+
 class TestValidation:
     def test_probs_must_sum_to_one(self):
         with pytest.raises(ValidationError):

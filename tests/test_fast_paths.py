@@ -3,8 +3,9 @@
 ``DiscreteFinite`` answers ``survival``, ``tail_moment_one`` and ``g_value``
 with one ``bisect`` over suffix sums held as Python floats; the reference
 kept here is the numpy form (``np.searchsorted`` over ``np.cumsum`` suffix
-arrays).  The envelope and tie-class sorts use a key-only sort that stays
-stable under ``reverse=True``; the reference is the explicit ``(-g, i)`` key.
+arrays).  The tie class and ``TieClass.fill`` use a key-only sort that stays
+stable under ``reverse=True``, and the envelope sorts the G values
+themselves; the reference is the explicit ``(-g, i)`` key.
 The exact oracles run a DP keyed by (best value, unprobed set) with cached
 last-probe values, and score blocks of subsets on the block's merged grid;
 the references are the DP keyed by (budget, best value, unprobed set) and
@@ -30,9 +31,9 @@ from probemax import (
     static_optimum_enum,
 )
 from probemax import oracles
-from probemax.gap2 import build_tilde_set, tie_class_at
+from probemax.gap2 import TIE_TOL, build_tilde_set, tie_class_at
 from probemax.gap_continuous import CONT_TIE_TOL, construct_s_minus_plus
-from probemax.minmax import h_max
+from probemax.minmax import h_max, h_value
 
 SETTINGS = settings(max_examples=200, deadline=None)
 
@@ -124,10 +125,17 @@ def tied_point_masses(draw):
 def test_envelope_and_tie_class_sort_like_the_index_key(inst, r):
     gs = [d.g_value(r) for d in inst.dists]
     order = reference_order(gs)
-    value, top = h_max(inst, r)
-    assert top == tuple(sorted(order[: inst.k]))
+    tc = tie_class_at(inst, r)
+    ranked = tc.prefix + tc.tied
+    assert ranked == tuple(order[: len(ranked)])
+    assert len(tc.prefix) + tc.slots == inst.k
+    pivot = gs[order[inst.k - 1]]
+    assert all(gs[i] > pivot for i in tc.prefix)
+    assert all(gs[i] == pivot for i in tc.tied)
+    assert all(gs[i] < pivot for i in order[len(ranked):])
+    value = h_max(inst, r)
     assert bits(value) == bits(r + math.fsum(gs[i] for i in order[: inst.k]))
-    assert tie_class_at(inst, r).order == tuple(order)
+    assert bits(value) == bits(h_value(inst, r, tc.prefix + tc.tied[: tc.slots]))
 
 
 @SETTINGS
@@ -164,6 +172,24 @@ def test_s_minus_plus_fill_slots_like_the_index_key(ends, data):
     s_minus, s_plus = construct_s_minus_plus(inst, r_star)
     assert s_minus == tuple(sorted(tc.prefix + tuple(lo_first)))
     assert s_plus == tuple(sorted(tc.prefix + tuple(hi_first)))
+
+
+@SETTINGS
+@given(
+    st.lists(discrete(max_atoms=2, values=NEAR_TIES), min_size=1, max_size=12).filter(
+        lambda ds: max(d.mean() for d in ds) > 0.0),
+    st.data(),
+)
+def test_every_fill_is_an_envelope_maximizer(dists, data):
+    inst = Instance(dists, data.draw(st.integers(1, len(dists))))
+    r = data.draw(st.sampled_from((0.0, 0.5, 1.0, 2.5)))
+    tol = data.draw(st.sampled_from((TIE_TOL, CONT_TIE_TOL)))
+    keys = data.draw(st.lists(st.sampled_from((-1.0, 0.0, 0.5, 2.0)),
+                              min_size=inst.n, max_size=inst.n))
+    chosen = tie_class_at(inst, r, tol=tol).fill(keys.__getitem__)
+    assert len(chosen) == inst.k and chosen == tuple(sorted(set(chosen)))
+    # Each slot trades a tied member for one within 2 * tol * mu_max of it.
+    assert abs(h_value(inst, r, chosen) - h_max(inst, r)) <= 2 * inst.k * tol * inst.mu_max
 
 
 def reference_dp(inst: Instance) -> float:

@@ -44,9 +44,8 @@ class TestTieClass:
     def test_no_tie(self):
         inst = Instance([point_mass(3.0), point_mass(2.0), point_mass(1.0)], 2)
         tc = tie_class_at(inst, 0.0)
-        assert tc.order == (0, 1, 2)
-        assert (tc.k_minus, tc.k_plus) == (1, 1)
         assert tc.prefix == (0,)
+        assert tc.tied == (1,)
         assert tc.slots == 1
 
     def test_tie_block(self):
@@ -56,6 +55,15 @@ class TestTieClass:
         assert tc.tied == (1, 2)
         assert tc.slots == 1
         assert len(tc.prefix) + tc.slots == inst.k
+
+    def test_tied_in_anchor_order(self):
+        # G values 1e-13 apart tie within TIE_TOL * mu_max; the larger one leads.
+        inst = Instance([point_mass(2.0), point_mass(1.0), point_mass(1.0 + 1e-13)], 2)
+        tc = tie_class_at(inst, 0.0)
+        assert tc.prefix == (0,)
+        assert tc.tied == (2, 1)
+        assert tc.slots == 1
+        assert tc.fill(lambda i: 0.0) == (0, 1)
 
 
 class TestBuildTildeSet:
@@ -87,7 +95,7 @@ class TestBuildTildeSet:
             ):
                 chosen = build_tilde_set(inst, anchor, probe)
                 assert len(chosen) == inst.k
-                assert h_value(inst, anchor, chosen) >= h_max(inst, anchor)[0] - 1e-10
+                assert h_value(inst, anchor, chosen) >= h_max(inst, anchor) - 1e-10
 
 
 class TestSelectGap2Set:

@@ -93,8 +93,8 @@ class TestMaximizeOverlap:
         assert s_minus == (0, 1) and s_plus == (2, 3)
         s_minus, s_plus = maximize_overlap(QUAD, 1.0, s_minus, s_plus)
         assert len(set(s_minus) & set(s_plus)) >= QUAD.k - 1
-        assert h_value(QUAD, 1.0, s_minus) == pytest.approx(h_max(QUAD, 1.0)[0], abs=1e-10)
-        assert h_value(QUAD, 1.0, s_plus) == pytest.approx(h_max(QUAD, 1.0)[0], abs=1e-10)
+        assert h_value(QUAD, 1.0, s_minus) == pytest.approx(h_max(QUAD, 1.0), abs=1e-10)
+        assert h_value(QUAD, 1.0, s_plus) == pytest.approx(h_max(QUAD, 1.0), abs=1e-10)
         # derivative signs survive the swap
         surv = lambda subset: sum(QUAD.dists[i].survival(1.0) for i in subset)
         assert 1.0 - surv(s_minus) >= -1e-10
@@ -243,7 +243,7 @@ class TestPipeline:
         h_bar = sol.r_star + math.fsum(
             inst.dists[i].g_value(sol.r_star) * psi[i] for i in range(inst.n)
         )
-        assert h_bar == pytest.approx(h_max(inst, sol.r_star)[0], abs=1e-6)
+        assert h_bar == pytest.approx(h_max(inst, sol.r_star), abs=1e-6)
 
         # expected-hit-count, stopping, and total-reward identities
         assert stats.expected_b == pytest.approx(1.0, abs=1e-4)
@@ -322,7 +322,7 @@ def test_window_pair_on_tie_heavy_instances(inst):
     assert len(lo) == len(hi) == inst.k
     assert len(set(lo) & set(hi)) >= inst.k - 1
 
-    envelope = h_max(inst, R_TIE)[0]
+    envelope = h_max(inst, R_TIE)
     for subset in (lo, hi):
         assert abs(h_value(inst, R_TIE, subset) - envelope) <= inst.k * CONT_TIE_TOL * inst.mu_max
 

@@ -23,9 +23,16 @@ from probemax.errors import (
     InvalidTolerance,
     NotContinuous,
 )
+from probemax.gap2 import tie_class_at
 from probemax.minmax import h_derivative_continuous, h_max, h_value
 
 TWO_UNIFORM = Instance([Uniform(0, 1), Uniform(0, 1)], 2)
+
+
+def envelope_witness(inst, r):
+    """The k largest G_i(r), taken from the tie class at r."""
+    tc = tie_class_at(inst, r)
+    return tc.prefix + tc.tied[: tc.slots]
 
 
 class TestInstance:
@@ -65,19 +72,23 @@ class TestHValue:
 
 class TestHMax:
     def test_both_in(self):
-        value, argmax = h_max(TWO_UNIFORM, 0.5)
+        value = h_max(TWO_UNIFORM, 0.5)
         assert value == pytest.approx(0.75, abs=1e-12)
-        assert argmax == (0, 1)
+        witness = envelope_witness(TWO_UNIFORM, 0.5)
+        assert sorted(witness) == [0, 1]
+        assert value.hex() == h_value(TWO_UNIFORM, 0.5, witness).hex()
 
     def test_larger_mean_wins(self):
         inst = Instance([point_mass(2.0), point_mass(1.0)], 1)
-        assert h_max(inst, 0.0) == (pytest.approx(2.0), (0,))
+        assert h_max(inst, 0.0) == pytest.approx(2.0)
+        assert envelope_witness(inst, 0.0) == (0,)
+        assert h_max(inst, 0.0).hex() == h_value(inst, 0.0, (0,)).hex()
 
     def test_tie_breaks_low_index(self):
         inst = Instance([point_mass(1.0), point_mass(1.0)], 1)
-        value, argmax = h_max(inst, 0.0)
-        assert value == pytest.approx(1.0)
-        assert argmax == (0,)
+        assert h_max(inst, 0.0) == pytest.approx(1.0)
+        assert envelope_witness(inst, 0.0) == (0,)
+        assert h_max(inst, 0.0).hex() == h_value(inst, 0.0, (0,)).hex()
 
 
 class TestMinimizeHmax:
@@ -178,8 +189,8 @@ class TestProperties:
         hi = inst.n * inst.mu_max
         for _ in range(10):
             r1, r2 = sorted(rng.uniform(0, hi, 2))
-            mid_value, _ = h_max(inst, 0.5 * (r1 + r2))
-            assert mid_value <= 0.5 * (h_max(inst, r1)[0] + h_max(inst, r2)[0]) + 1e-10
+            mid_value = h_max(inst, 0.5 * (r1 + r2))
+            assert mid_value <= 0.5 * (h_max(inst, r1) + h_max(inst, r2)) + 1e-10
 
     @pytest.mark.parametrize("seed", range(10))
     def test_minimizer_location(self, seed):
@@ -190,12 +201,12 @@ class TestProperties:
         hi = inst.n * inst.mu_max
         bound = minimize_hmax(inst, 1e-7 * inst.mu_max)
         slack = inst.k * bound.xi + 1e-10
-        assert h_max(inst, 0.0)[0] <= hi + 1e-9
+        assert h_max(inst, 0.0) <= hi + 1e-9
         rng = np.random.default_rng(seed)
         for r in rng.uniform(hi + 1.0, 3 * hi + 1.0, 5):
-            assert h_max(inst, r)[0] > bound.u_star
+            assert h_max(inst, r) > bound.u_star
         for r in rng.uniform(-hi, -1e-9, 5):
-            assert h_max(inst, r)[0] >= bound.u_star - slack
+            assert h_max(inst, r) >= bound.u_star - slack
 
     @pytest.mark.parametrize("seed", range(15))
     def test_derivative_matches_central_difference(self, seed):
@@ -236,7 +247,9 @@ class TestProperties:
         inst = random_discrete_instance(seed + 300, n_lo=4, n_hi=8)
         rng = np.random.default_rng(seed)
         for r in rng.uniform(0, inst.n * inst.mu_max, 5):
-            value, argmax = h_max(inst, r)
-            assert len(argmax) == inst.k
+            value = h_max(inst, r)
+            witness = envelope_witness(inst, r)
+            assert len(witness) == inst.k
+            assert value.hex() == h_value(inst, r, witness).hex()
             for subset in combinations(range(inst.n), inst.k):
                 assert value >= h_value(inst, r, subset) - 1e-12
