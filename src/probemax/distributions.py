@@ -31,6 +31,12 @@ _BELOW_ONE = np.nextafter(1.0, 0.0)
 # costs 0.2-0.4 ms up to 32 atoms and about 1 ms at 128, against 0.5-2.4 ms
 # for searchsorted; at 256 atoms the two were even.
 _COUNT_DRAW_MAX_ATOMS = 128
+# Rounding in a plain sum of m probabilities is at most (m - 1) * 2**-53 of
+# their total; at 2048 atoms that is under PROB_SUM_TOL / 4.
+_PLAIN_SUM_MAX_ATOMS = 2048
+# Fewest rows whose suffix sums numpy computes: it costs about 15 us per
+# distinct row length, where accumulate in Python costs about 1.5 us per row.
+_NUMPY_SUMS_MIN_ROWS = 64
 
 
 class Distribution(ABC):
@@ -88,31 +94,7 @@ class DiscreteFinite(Distribution):
 
     def __init__(self, atoms) -> None:
         items = [(float(v), float(p)) for v, p in atoms]
-        if not items:
-            raise ValidationError("discrete distribution needs at least one atom")
-        for v, p in items:
-            if not math.isfinite(v) or v < 0.0:
-                raise ValidationError(f"support value {v!r} must be finite and non-negative")
-            if not 0.0 < p <= 1.0:
-                raise ValidationError(f"atom probability {p!r} must lie in (0, 1]")
-        total = math.fsum(p for _, p in items)
-        if abs(total - 1.0) > PROB_SUM_TOL:
-            raise ValidationError(f"atom probabilities sum to {total!r}, not 1")
-        merged: dict[float, float] = {}
-        for v, p in items:
-            merged[v] = merged.get(v, 0.0) + p
-        values = sorted(merged)
-        probs = [merged[v] for v in values]
-        self.values = np.array(values, dtype=float)
-        self.probs = np.array(probs, dtype=float)
-        # Suffix sums make survival and the tail moment one bisect each.  They
-        # are Python floats, summed from the top atom down in sequence, so
-        # every bit matches a cumulative sum over the reversed atoms.
-        self._vals = tuple(values)
-        self._tail_p = tuple(accumulate(reversed(probs)))[::-1] + (0.0,)
-        self._tail_pv = tuple(accumulate(
-            p * v for v, p in zip(reversed(values), reversed(probs))
-        ))[::-1] + (0.0,)
+        _discrete_rows([v for v, _ in items], [p for _, p in items], [len(items)], [self])
 
     def __repr__(self) -> str:
         pairs = ", ".join(
@@ -169,6 +151,142 @@ class DiscreteFinite(Distribution):
             np.greater_equal(u, cut, out=above)
             idx += above.view(np.uint8)
         return self.values.take(idx)
+
+
+def _first_invalid_row(values, probs, sizes) -> tuple[int, str] | None:
+    """The first row DiscreteFinite would reject, with its message, or None.
+
+    A row is rejected when it is empty, when an atom has a value that is
+    not finite and non-negative or a probability outside (0, 1] (the first
+    such atom names the error, its value before its probability), or when
+    abs(math.fsum(probs) - 1.0) exceeds PROB_SUM_TOL.
+    """
+    ends = np.cumsum(sizes)
+    found = None
+    empty = np.flatnonzero(sizes == 0)
+    if empty.size:
+        found = (int(empty[0]), "discrete distribution needs at least one atom")
+    ok_value = np.isfinite(values) & (values >= 0.0)
+    bad = np.flatnonzero(~(ok_value & (probs > 0.0) & (probs <= 1.0)))
+    if bad.size:
+        i = int(bad[0])
+        row = int(np.searchsorted(ends, i, side="right"))
+        if found is None or row < found[0]:
+            v, p = values[i].item(), probs[i].item()
+            if ok_value[i]:
+                found = (row, f"atom probability {p!r} must lie in (0, 1]")
+            else:
+                found = (row, f"support value {v!r} must be finite and non-negative")
+    checked = len(sizes) if found is None else found[0]
+    if checked == 0:
+        return found
+    # A row whose plain sum lies within TOL/2 of 1 passes without fsum: for
+    # at most _PLAIN_SUM_MAX_ATOMS probabilities in (0, 1], in any order of
+    # addition, that sum is within TOL/4 of the exact one, so fsum's
+    # correctly rounded total is within TOL of 1 as well.
+    sizes = sizes[:checked]
+    plain = np.add.reduceat(probs[:ends[checked - 1]], ends[:checked] - sizes)
+    unsure = (np.abs(plain - 1.0) > 0.5 * PROB_SUM_TOL) | (sizes > _PLAIN_SUM_MAX_ATOMS)
+    for row in np.flatnonzero(unsure).tolist():
+        total = math.fsum(probs[ends[row] - sizes[row]:ends[row]].tolist())
+        if abs(total - 1.0) > PROB_SUM_TOL:
+            return row, f"atom probabilities sum to {total!r}, not 1"
+    return found
+
+
+def _sort_rows(values, probs, sizes):
+    """Sort each row by value and merge repeated values, as DiscreteFinite does.
+
+    A merged atom keeps the value seen first and adds the probabilities in
+    input order, as a dict keyed by value would (so -0.0 and 0.0 merge).
+    """
+    row = np.repeat(np.arange(len(sizes)), sizes)
+    same_row = row[1:] == row[:-1]
+    if not np.any(same_row & (values[1:] <= values[:-1])):
+        return values, probs, sizes
+    order = np.lexsort((values, row))  # stable: equal values stay in input order
+    values, probs = values[order], probs[order]
+    repeat = np.flatnonzero(same_row & (values[1:] == values[:-1])) + 1
+    if repeat.size:
+        first = np.arange(len(values))
+        first[repeat] = 0
+        np.maximum.accumulate(first, out=first)
+        np.add.at(probs, first[repeat], probs[repeat])  # unbuffered: in index order
+        keep = np.ones(len(values), dtype=bool)
+        keep[repeat] = False
+        values, probs = values[keep], probs[keep]
+        sizes = sizes - np.bincount(row[repeat], minlength=len(sizes))
+    return values, probs, sizes
+
+
+def _suffix_sums(terms, sizes) -> list[list[float]]:
+    """Per row of each line of `terms`, the sums from each atom to the row's top.
+
+    Each sum adds one atom at a time from the top down, as accumulate over
+    the reversed row does, so every bit matches a build row by row.  Many
+    rows take one np.cumsum per group of rows of equal length, so no row is
+    padded to the longest; below _NUMPY_SUMS_MIN_ROWS rows, accumulate in
+    Python costs less than numpy's calls.
+    """
+    if len(sizes) < _NUMPY_SUMS_MIN_ROWS:
+        sums = []
+        for line in terms.tolist():
+            out: list[float] = []
+            end = 0
+            for m in sizes.tolist():
+                start, end = end, end + m
+                out += reversed(list(accumulate(reversed(line[start:end]))))
+            sums.append(out)
+        return sums
+    starts = np.cumsum(sizes) - sizes
+    groups: dict[int, list[int]] = {}
+    for row, m in enumerate(sizes.tolist()):
+        groups.setdefault(m, []).append(row)
+    tails = np.empty_like(terms)
+    for m, rows in groups.items():
+        top_down = starts[rows][:, None] + np.arange(m - 1, -1, -1)
+        tails[:, top_down] = np.cumsum(terms[:, top_down], axis=2)
+    return tails.tolist()
+
+
+def _discrete_rows(values, probs, sizes, out=None) -> list[DiscreteFinite]:
+    """Check and build one DiscreteFinite per row of packed atoms.
+
+    Row i holds the next sizes[i] entries of `values` and `probs`.  All rows
+    are checked together by DiscreteFinite's rules; the first row it would
+    reject raises ValidationError with the same message, and the row's
+    index as the error's `row` attribute.  `out` holds the objects to fill;
+    by default new ones are made.
+
+    Every bit matches a build row by row (see _suffix_sums).  `values` and
+    `probs` of each variable are slices of the packed arrays, which may be
+    the arrays passed in: the caller must not change them afterwards.
+    """
+    values = np.asarray(values, dtype=float)
+    probs = np.asarray(probs, dtype=float)
+    sizes = np.asarray(sizes, dtype=np.intp)
+    invalid = _first_invalid_row(values, probs, sizes)
+    if invalid is not None:
+        exc = ValidationError(invalid[1])
+        exc.row = invalid[0]
+        raise exc
+    values, probs, sizes = _sort_rows(values, probs, sizes)
+    vals = values.tolist()
+    tp, tpv = _suffix_sums(np.stack((probs, probs * values)), sizes)
+    built = []
+    end = 0
+    for row, m in enumerate(sizes.tolist()):
+        start, end = end, end + m
+        # Made and filled one at a time: objects made before the class has
+        # seen its attribute names get a full dict each, about 3x the memory.
+        d = DiscreteFinite.__new__(DiscreteFinite) if out is None else out[row]
+        d.values = values[start:end]
+        d.probs = probs[start:end]
+        d._vals = tuple(vals[start:end])
+        d._tail_p = (*tp[start:end], 0.0)
+        d._tail_pv = (*tpv[start:end], 0.0)
+        built.append(d)
+    return built
 
 
 class Uniform(Distribution):
@@ -239,6 +357,10 @@ class Exponential(Distribution):
         rate = float(rate)
         if not math.isfinite(rate) or rate <= 0.0:
             raise ValidationError(f"exponential rate {rate!r} must be positive")
+        if not math.isfinite(1.0 / rate):
+            raise ValidationError(
+                f"exponential rate {rate!r} is too small: its mean 1/rate overflows"
+            )
         self.rate = rate
 
     def __repr__(self) -> str:

@@ -53,9 +53,9 @@ _SNAP = 1e-12
 
 
 def _require_continuous(inst: Instance) -> None:
-    for i, d in enumerate(inst.dists):
-        if not d.is_continuous:
-            raise NotContinuous(f"variable {i} has a discontinuous CDF")
+    i = inst._first_discontinuous
+    if i is not None:
+        raise NotContinuous(f"variable {i} has a discontinuous CDF")
 
 
 @dataclass(frozen=True)

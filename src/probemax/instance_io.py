@@ -9,13 +9,26 @@ order.  Kinds and their fields:
 
 Blank lines and `#` comments are ignored.  Numbers are rendered with repr(),
 so emit -> parse round-trips every float exactly.
+
+Parsing is one pass over the lines plus one batch that checks and builds
+all discrete variables (see parse_instance_text); `gen_instance` builds its
+discrete variables in the same batch, the one `DiscreteFinite(atoms)` runs
+on one row.
 """
 
 from __future__ import annotations
 
+from array import array
+
 import numpy as np
 
-from .distributions import DiscreteFinite, Distribution, Exponential, Uniform
+from .distributions import (
+    DiscreteFinite,
+    Distribution,
+    Exponential,
+    Uniform,
+    _discrete_rows,
+)
 from .errors import ValidationError
 from .minmax import Instance
 
@@ -87,26 +100,98 @@ def _parse_k(tokens: list[str]) -> int:
     raise ValidationError("field 'k': expected one integer")
 
 
+def _discrete_size(tokens: list[str]) -> int | None:
+    """Atom count of a `dist discrete values ... probs ...` line with each key once.
+
+    On such a line only a bad number can be wrong.  None for any other
+    `dist discrete` line: `_parse_dist` parses it and reports its error.
+    """
+    m = (len(tokens) - 4) // 2
+    if (
+        m > 0
+        and len(tokens) % 2 == 0
+        and tokens[2] == "values"
+        and tokens[3 + m] == "probs"
+        and tokens.count("values") == 1
+        and tokens.count("probs") == 1
+    ):
+        return m
+    return None
+
+
 def parse_instance_text(text: str) -> Instance:
-    """Parse an instance file, reporting the offending line and field."""
+    """Parse an instance file, reporting the offending line and field.
+
+    Each line is tokenized and structure-checked once.  The numbers of the
+    discrete lines are converted in one float pass after the scan, and
+    their variables are checked and built in one batch.  The error raised is
+    the one the first bad line gives, as if lines were parsed one by one:
+    the scan stops at a structure error, and a bad number or atom on an
+    earlier discrete line wins over it.
+    """
     k = None
-    dists: list[Distribution] = []
+    dists: list[Distribution | None] = []
+    slots: list[int] = []  # per batched discrete line: its index in dists,
+    lines: list[int] = []  # its line number,
+    sizes: list[int] = []  # and its atom count
+    value_tokens: list[str] = []
+    prob_tokens: list[str] = []
+    error = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        tokens = raw.split("#", 1)[0].split()
+        if not tokens:
             continue
-        tokens = line.split()
         try:
             if tokens[0] == "k":
                 if k is not None:
                     raise ValidationError("field 'k' repeated")
                 k = _parse_k(tokens)
-            elif tokens[0] == "dist":
+            elif tokens[0] != "dist":
+                raise ValidationError(f"expected 'k' or 'dist', got {tokens[0]!r}")
+            elif (
+                len(tokens) < 2
+                or tokens[1] != "discrete"
+                or (m := _discrete_size(tokens)) is None
+            ):
                 dists.append(_parse_dist(tokens[1:]))
             else:
-                raise ValidationError(f"expected 'k' or 'dist', got {tokens[0]!r}")
+                value_tokens += tokens[3:3 + m]
+                prob_tokens += tokens[4 + m:]
+                slots.append(len(dists))
+                lines.append(line_no)
+                sizes.append(m)
+                dists.append(None)
         except ValidationError as exc:
-            raise ValidationError(f"line {line_no}: {exc}") from exc
+            error = (line_no, exc)
+            break
+    try:
+        values = np.fromiter(map(float, value_tokens), float, len(value_tokens))
+        probs = np.fromiter(map(float, prob_tokens), float, len(prob_tokens))
+    except ValueError:  # find the first line with a bad number; build the lines before it
+        values, probs = [], []
+        for row, (line_no, m) in enumerate(zip(lines, sizes)):
+            start = len(values)
+            try:
+                row_values = [_parse_float(tok, "values") for tok in value_tokens[start:start + m]]
+                row_probs = [_parse_float(tok, "probs") for tok in prob_tokens[start:start + m]]
+            except ValidationError as exc:
+                error = (line_no, exc)
+                del sizes[row:]
+                break
+            values += row_values
+            probs += row_probs
+    del value_tokens, prob_tokens  # the variables take their place in memory
+    if sizes:
+        try:
+            built = _discrete_rows(values, probs, sizes)
+        except ValidationError as exc:
+            error = (lines[exc.row], exc)
+        else:
+            for slot, d in zip(slots, built):
+                dists[slot] = d
+    if error is not None:
+        line_no, exc = error
+        raise ValidationError(f"line {line_no}: {exc}") from exc
     if k is None:
         raise ValidationError("field 'k' missing")
     if not dists:
@@ -142,12 +227,12 @@ def emit_instance(inst: Instance) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _gen_discrete(rng: np.random.Generator) -> DiscreteFinite:
+def _gen_discrete(rng: np.random.Generator) -> tuple[list[float], list[float]]:
+    """The values and probabilities of one discrete variable, unsorted."""
     size = int(rng.integers(1, 5))
     values = rng.uniform(0.0, 10.0, size)
     weights = rng.integers(1, 11, size).astype(float)
-    probs = weights / weights.sum()
-    return DiscreteFinite(list(zip(values.tolist(), probs.tolist())))
+    return values.tolist(), (weights / weights.sum()).tolist()
 
 
 def _gen_uniform(rng: np.random.Generator) -> Uniform:
@@ -170,11 +255,17 @@ def gen_instance(n: int, k: int, family: str, seed: int) -> Instance:
     if seed < 0:
         raise ValidationError(f"seed {seed!r} must be non-negative")
     rng = np.random.default_rng(seed)
+    if family == "discrete":
+        values, probs, sizes = array("d"), array("d"), []  # raw doubles: no float objects
+        for _ in range(n):
+            row_values, row_probs = _gen_discrete(rng)
+            values.extend(row_values)
+            probs.extend(row_probs)
+            sizes.append(len(row_values))
+        return Instance(_discrete_rows(values, probs, sizes), k)
     dists: list[Distribution] = []
     for _ in range(n):
-        if family == "discrete":
-            dists.append(_gen_discrete(rng))
-        elif family == "uniform":
+        if family == "uniform":
             dists.append(_gen_uniform(rng))
         elif family == "exponential":
             dists.append(_gen_exponential(rng))

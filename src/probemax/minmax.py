@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -57,6 +58,11 @@ class Instance:
         object.__setattr__(self, "dists", dists)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "_mu_max", mu_max)
+
+    @cached_property
+    def _first_discontinuous(self) -> int | None:
+        """Index of the first variable with a discontinuous CDF, or None."""
+        return next((i for i, d in enumerate(self.dists) if not d.is_continuous), None)
 
     @property
     def n(self) -> int:

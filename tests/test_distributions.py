@@ -1,6 +1,7 @@
 """Distribution oracle tests: closed forms against independent integration."""
 
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -301,6 +302,14 @@ class TestValidation:
     def test_exponential_rate(self):
         with pytest.raises(ValidationError):
             Exponential(0.0)
+
+    def test_exponential_rate_whose_mean_overflows(self):
+        with pytest.raises(ValidationError, match=r"rate 5e-324 is too small: its mean 1/rate"):
+            Exponential(5e-324)
+        edge = 1.0 / sys.float_info.max  # subnormal, and 1.0 / edge rounds up to inf
+        with pytest.raises(ValidationError, match="too small"):
+            Exponential(edge)
+        assert math.isfinite(Exponential(math.nextafter(edge, 1.0)).mean())
 
     def test_mixture_nesting_depth(self):
         inner = Mixture(0.5, Uniform(0, 1), Uniform(0, 2))

@@ -283,6 +283,16 @@ class TestPipeline:
         with pytest.raises(NotContinuous):
             solve_continuous(inst)
 
+    def test_first_discontinuous_variable_named_and_found_once(self):
+        dists = [Uniform(0, 1), Uniform(0, 2), point_mass(1.0), point_mass(2.0)]
+        inst = Instance(dists, 2)
+        with pytest.raises(NotContinuous, match=r"^variable 2 has a discontinuous CDF$"):
+            solve_continuous(inst)
+        assert vars(inst)["_first_discontinuous"] == 2
+        with pytest.raises(NotContinuous, match=r"^variable 2 has"):
+            construct_s_minus_plus(inst, 0.5)
+        assert Instance(dists[:2], 1)._first_discontinuous is None
+
 
 # Survivals at R_TIE on a coarse grid, so survival ties are common too.
 R_TIE = 8.0
