@@ -7,9 +7,15 @@ closed form thanks to independence:
 
     E[reward]   = sum_t prod_{j<t} (1 - p_j) * p_t * c_t
     E[B]        = sum_i p_i                  (B = number of entries >= threshold)
-    P(B >= 1)   = 1 - prod_i (1 - p_i)
+    P(B >= 1)   = sum_t prod_{j<t} (1 - p_j) * p_t = 1 - prod_i (1 - p_i)
     E[sum]      = sum_i p_i * c_i            (accept every qualifying sample)
-    E[(B-1)^+]  = from the exact Bernoulli-count convolution
+    E[(B-1)^+]  = sum_i p_i * P(B_{<i} >= 1) (B_{<i} counts the entries before i)
+
+One pass over the entries gives them all in O(k).  P(B_{<i} >= 1) is kept
+as a running sum of non-negative terms, never as 1 - prod(1 - p_j): when
+every p is tiny that difference cancels and loses about half the digits.
+`bernoulli_count_pmf`, the exact O(k^2) pmf of B, is no longer on this path;
+it stays as the reference the tests check these sums against.
 
 The Monte-Carlo path exists to cross-check the analytic one.  It draws one
 uniform per entry and trial from a single Philox stream keyed by the seed,
@@ -75,7 +81,10 @@ class SimResult(NamedTuple):
 
 
 def bernoulli_count_pmf(ps: Sequence[float]) -> list[float]:
-    """Exact pmf of a sum of independent Bernoulli(p_i) by O(k^2) convolution."""
+    """Exact pmf of a sum of independent Bernoulli(p_i) by O(k^2) convolution.
+
+    `evaluate` does not call it; it is the reference for E[(B-1)^+].
+    """
     pmf = [1.0]
     for p in ps:
         q = 1.0 - p
@@ -89,26 +98,38 @@ def bernoulli_count_pmf(ps: Sequence[float]) -> list[float]:
 
 def _reward_chain(
     entries: Sequence[Distribution], r: float
-) -> tuple[list[float], list[float], float, float]:
-    """(p_i, p_i * c_i, E[reward], P(B >= 1)) of the entries at threshold r.
+) -> tuple[list[float], list[float], float, float, float]:
+    """(p_i, p_i * c_i, E[reward], P(B >= 1), E[(B-1)^+]) at threshold r, in O(k).
 
-    `evaluate` adds the statistics that need the O(k^2) Bernoulli-count
-    convolution; a caller after E[reward] alone stops here.
+    `hit` is P(B_{<i} >= 1), summed as hit += p_i * miss, where miss is
+    prod_{j<i} (1 - p_j): every term is non-negative, so it keeps its
+    relative accuracy at any scale of p.  Each entry adds p_i * hit to
+    E[(B-1)^+].  P(B >= 1) is `hit` while hit < 0.5 and 1 - miss above,
+    where miss <= 0.5 leaves that difference nothing to cancel; it never
+    exceeds 1.  This pass replaces the O(k^2) `bernoulli_count_pmf`, which
+    stays public as the exact reference the tests compare it with.
     """
     ps = [d.survival(r) for d in entries]
     # p * c = E[X 1{X >= r}]; safe even when the tail is empty.
     pcs = [d.tail_moment_one(r) for d in entries]
     reward_terms = []
+    excess_terms = []
     miss = 1.0
+    hit = 0.0
     for p, pc in zip(ps, pcs):
         reward_terms.append(miss * pc)
+        excess_terms.append(p * hit)
+        hit += p * miss
         miss *= 1.0 - p
-    return ps, pcs, math.fsum(reward_terms), 1.0 - miss
+    prob_stop = hit if hit < 0.5 else 1.0 - miss
+    return ps, pcs, math.fsum(reward_terms), prob_stop, math.fsum(excess_terms)
 
 
 def evaluate(policy: ThresholdPolicy) -> PolicyStats:
     """All five policy statistics, computed in closed form (no sampling)."""
-    ps, pcs, expected_reward, prob_stop = _reward_chain(policy.entries, policy.threshold)
+    ps, pcs, expected_reward, prob_stop, expected_excess = _reward_chain(
+        policy.entries, policy.threshold
+    )
     expected_b = math.fsum(ps)
     try:
         expected_sum = math.fsum(pcs)
@@ -117,8 +138,6 @@ def evaluate(policy: ThresholdPolicy) -> PolicyStats:
             "expected sum of the tail moments E[X 1{X >= threshold}] overflows; "
             "the variables' values exceed the floating-point range"
         ) from None
-    pmf = bernoulli_count_pmf(ps)
-    expected_excess = math.fsum((b - 1) * m for b, m in enumerate(pmf) if b >= 2)
     return PolicyStats(
         expected_reward=expected_reward,
         expected_b=expected_b,

@@ -2,10 +2,14 @@
 
 import math
 import tracemalloc
+from fractions import Fraction
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_discrete_instance
 from probemax import (
@@ -68,6 +72,86 @@ class TestEvaluate:
             ThresholdPolicy([], 0.5)
         with pytest.raises(ValidationError):
             ThresholdPolicy([point_mass(1.0)], -0.1)
+
+
+def _bernoulli(p):
+    """Variable with P(X >= 1) = p exactly: atoms 0 and 1 (either may be absent)."""
+    atoms = [(v, m) for v, m in ((0.0, 1.0 - p), (1.0, p)) if m > 0.0]
+    return DiscreteFinite(atoms)
+
+
+def _exact_counts(ps):
+    """(P(B >= 1), E[(B-1)^+]) of independent Bernoulli(p_i), in exact arithmetic."""
+    miss = Fraction(1)
+    excess = Fraction(0)
+    for p in map(Fraction, ps):
+        excess += p * (1 - miss)
+        miss *= 1 - p
+    return 1 - miss, excess
+
+
+def _rel_err(x, exact):
+    return abs(Fraction(x) - exact) / exact
+
+
+def _scaled_ps(scale):
+    """Sixty survival probabilities in [scale/2, scale), seeded by the scale."""
+    rng = np.random.default_rng(int(-math.log2(scale)))
+    return (scale * rng.uniform(0.5, 1.0, 60)).tolist()
+
+
+class TestCountStatistics:
+    """P(B >= 1) and E[(B-1)^+] in one O(k) pass, accurate at every scale of p."""
+
+    @pytest.mark.parametrize("scale", [1e-12, 1e-6, 1e-2, 0.5])
+    def test_against_exact_arithmetic(self, scale):
+        # At 1e-12, 1 - prod(1 - p) cancels to about 1e-5 relative error;
+        # a sum of non-negative terms does not.
+        ps = _scaled_ps(scale)
+        stats = evaluate(ThresholdPolicy([_bernoulli(p) for p in ps], 1.0))
+        prob_stop, excess = _exact_counts(ps)
+        assert _rel_err(stats.prob_stop, prob_stop) <= 1e-14
+        assert _rel_err(stats.expected_excess, excess) <= 1e-14
+
+    def test_one_minus_product_misses_the_bound_at_tiny_p(self):
+        # The data above can tell the forms apart: the product form fails it.
+        ps = _scaled_ps(1e-12)
+        prob_stop, excess = _exact_counts(ps)
+        miss = math.prod(1.0 - p for p in ps)
+        assert _rel_err(1.0 - miss, prob_stop) > 1e-6
+        assert _rel_err(math.fsum(ps) - (1.0 - miss), excess) > 1e-6
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.just(0.0), st.just(1.0), st.floats(1e-30, 1.0)),
+                    min_size=1, max_size=40))
+    def test_matches_the_count_pmf(self, ps):
+        stats = evaluate(ThresholdPolicy([_bernoulli(p) for p in ps], 1.0))
+        pmf = bernoulli_count_pmf(ps)
+        excess = math.fsum((b - 1) * m for b, m in enumerate(pmf) if b >= 2)
+        prob_stop = math.fsum(pmf[1:])
+        assert abs(stats.expected_excess - excess) <= 1e-13 * excess
+        assert abs(stats.prob_stop - prob_stop) <= 1e-13 * prob_stop
+        assert 0.0 <= stats.prob_stop <= 1.0
+
+    def test_prob_stop_never_exceeds_one(self):
+        # The running hit sum rounds up to 1 + 2**-52 on these; 1 - miss cannot.
+        ps = [0.0874511069101035, 0.4253904299998196, 0.9999999999999993, 0.9999999999999993]
+        hit, miss = 0.0, 1.0
+        for p in ps:
+            hit += p * miss
+            miss *= 1.0 - p
+        assert hit > 1.0
+        assert evaluate(ThresholdPolicy([_bernoulli(p) for p in ps], 1.0)).prob_stop <= 1.0
+
+    def test_evaluate_runs_no_convolution(self):
+        entries = [_bernoulli(p) for p in (0.2, 0.5, 0.9)] + [Uniform(0, 3), Exponential(1.0)]
+        with mock.patch("probemax.policy_eval.bernoulli_count_pmf",
+                        side_effect=AssertionError("evaluate needs no count pmf")):
+            stats = evaluate(ThresholdPolicy(entries, 1.0))
+        ps = [d.survival(1.0) for d in entries]
+        pmf = bernoulli_count_pmf(ps)
+        assert stats.expected_excess == pytest.approx(
+            math.fsum((b - 1) * m for b, m in enumerate(pmf) if b >= 2), rel=1e-14)
 
 
 class TestBernoulliConvolution:
