@@ -13,7 +13,7 @@ importable from its own module.
 
 from .distributions import DiscreteFinite, Exponential, Uniform, point_mass
 from .errors import GuaranteeViolation, ProbemaxError, ValidationError
-from .gap2 import gap2_policy, select_gap2_set
+from .gap2 import select_gap2_set
 from .gap_continuous import solve_continuous
 from .instance_io import emit_instance, gen_instance, parse_instance_file
 from .minmax import Instance, minimize_hmax, rho
@@ -34,7 +34,6 @@ __all__ = [
     "minimize_hmax",
     "rho",
     "select_gap2_set",
-    "gap2_policy",
     "solve_continuous",
     "ThresholdPolicy",
     "evaluate",

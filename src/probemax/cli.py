@@ -21,12 +21,7 @@ import numpy as np
 from . import gap2 as gap2_mod
 from . import gap_continuous as cont_mod
 from . import oracles
-from .errors import (
-    GuaranteeViolation,
-    InstanceTooLarge,
-    ProbemaxError,
-    ValidationError,
-)
+from .errors import GuaranteeViolation, InstanceTooLarge, ProbemaxError, ValidationError
 from .instance_io import (
     GEN_FAMILIES,
     emit_instance,

@@ -22,7 +22,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import ValidationError, ZeroTail
+from .errors import ValidationError
 
 PROB_SUM_TOL = 1e-12
 _BELOW_ONE = np.nextafter(1.0, 0.0)
@@ -67,18 +67,18 @@ class Distribution(ABC):
     def cond_exp_ge(self, r: float) -> float:
         """E[X | X >= r].
 
-        Raises ZeroTail when the conditioning event has probability zero.
+        Raises ValidationError when the conditioning event has probability zero.
         """
         s = self.survival(r)
         if s <= 0.0:
-            raise ZeroTail(f"P(X >= {r!r}) = 0, conditional expectation undefined")
+            raise ValidationError(f"P(X >= {r!r}) = 0, conditional expectation undefined")
         return self.tail_moment_one(r) / s
 
     @abstractmethod
     def g_value(self, r: float) -> float:
         """E[(X - r)^+] = P(X >= r) * (E[X | X >= r] - r).
 
-        Returns 0 on an empty tail, absorbing the ZeroTail case.  Weakly
+        Returns 0 on an empty tail, where cond_exp_ge is undefined.  Weakly
         decreasing and convex in r; equals mean() - r at r <= 0.
         """
 
@@ -302,6 +302,10 @@ class Uniform(Distribution):
             raise ValidationError(f"uniform lower endpoint {a!r} must be non-negative")
         if b <= a:
             raise ValidationError(f"uniform needs b > a, got a={a!r}, b={b!r}")
+        if not math.isfinite(0.5 * (a + b)):
+            raise ValidationError(
+                f"uniform endpoints a={a!r}, b={b!r} are too large: their mean overflows"
+            )
         self.a = a
         self.b = b
 

@@ -1,4 +1,11 @@
-"""Semantic exception hierarchy shared by all probemax modules."""
+"""The package's four exception classes.
+
+A caller tells apart only what it handles differently: bad input, which
+the CLI reports and exits 1 on, from a failed proven inequality, which is
+a bug and exits 2.  Every rejected input, whatever layer rejects it, is a
+ValidationError whose message names the problem; InstanceTooLarge is the
+one kind a caller recovers from (the bench suite records it per row).
+"""
 
 
 class ProbemaxError(Exception):
@@ -6,48 +13,12 @@ class ProbemaxError(Exception):
 
 
 class ValidationError(ProbemaxError):
-    """Malformed input: bad distribution parameters, instance files, or flags."""
+    """Bad input: a parameter, variable, subset or file the package rejects."""
 
 
-class ZeroTail(ProbemaxError):
-    """Conditional tail expectation requested where P(X >= r) = 0."""
-
-
-class IndexOutOfRange(ProbemaxError):
-    """A variable subset contains duplicate or out-of-range indices."""
-
-
-class InvalidTolerance(ProbemaxError):
-    """Search tolerance must be strictly positive."""
-
-
-class InvalidEpsilon(ProbemaxError):
-    """Accuracy parameter must lie strictly inside (0, 1)."""
-
-
-class DegenerateSet(ProbemaxError):
-    """Root threshold requested for a subset with zero total mean."""
-
-
-class NotContinuous(ProbemaxError):
-    """Operation requires every distribution to have a continuous CDF."""
-
-
-class NotDiscrete(ProbemaxError):
-    """Operation requires finite-support discrete distributions."""
-
-
-class InstanceTooLarge(ProbemaxError):
+class InstanceTooLarge(ValidationError):
     """Exact oracle would exceed its configured state or subset budget."""
 
 
 class GuaranteeViolation(ProbemaxError):
     """A proven inequality failed beyond numerical tolerance (internal bug)."""
-
-
-class AlphaOutOfRange(ProbemaxError):
-    """Mixing-weight equation has no solution within tolerance.
-
-    Signals that the threshold passed to the fractional construction is too
-    far from a true minimizer of the upper envelope.
-    """

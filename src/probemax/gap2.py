@@ -15,11 +15,10 @@ expectation under any inspection order, so E[max of S] is within a factor
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import GuaranteeViolation, InvalidEpsilon
+from .errors import GuaranteeViolation, ValidationError
 from .minmax import BoundResult, Instance, g_values, minimize_hmax, rho
 from .policy_eval import ThresholdPolicy
 
@@ -81,7 +80,11 @@ def tie_class_at(inst: Instance, r_anchor: float, tol: float = TIE_TOL) -> TieCl
 
 @dataclass(frozen=True)
 class Gap2Result:
-    """The two candidate sets, their root thresholds, and the winner."""
+    """The two candidate sets, their root thresholds, and the winner.
+
+    `policy` inspects the chosen set in ascending index order and accepts
+    the first sample >= threshold; the guarantee holds for any order.
+    """
 
     s_tilde_plus: tuple[int, ...]
     s_tilde_minus: tuple[int, ...]
@@ -91,13 +94,13 @@ class Gap2Result:
     threshold: float
     bound: BoundResult
     epsilon: float
-    instance: Instance
+    policy: ThresholdPolicy
 
 
 def check_epsilon(epsilon: float) -> None:
-    """Raise InvalidEpsilon unless 0 < epsilon < 1."""
+    """Raise ValidationError unless 0 < epsilon < 1."""
     if not (isinstance(epsilon, (int, float)) and 0.0 < epsilon < 1.0):
-        raise InvalidEpsilon(f"epsilon={epsilon!r} must lie strictly inside (0, 1)")
+        raise ValidationError(f"epsilon={epsilon!r} must lie strictly inside (0, 1)")
 
 
 def narrow_interval(inst: Instance, epsilon: float) -> BoundResult:
@@ -145,14 +148,5 @@ def select_gap2_set(inst: Instance, epsilon: float = 0.05) -> Gap2Result:
         threshold=threshold,
         bound=bound,
         epsilon=float(epsilon),
-        instance=inst,
+        policy=ThresholdPolicy([inst.dists[i] for i in chosen], threshold),
     )
-
-
-def gap2_policy(result: Gap2Result) -> ThresholdPolicy:
-    """Stopping policy over the chosen set: accept the first sample >= rho.
-
-    Inspection order is ascending index; the guarantee holds for any order.
-    """
-    entries = [result.instance.dists[i] for i in result.chosen]
-    return ThresholdPolicy(entries=entries, threshold=result.threshold)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .distributions import Distribution, Mixture
-from .errors import AlphaOutOfRange, NotContinuous
+from .errors import ValidationError
 from .gap2 import TIE_TOL, tie_class_at
 from .minmax import BoundResult, Instance, minimize_hmax
 from .policy_eval import PolicyStats, ThresholdPolicy, _reward_chain, evaluate
@@ -55,7 +55,7 @@ _SNAP = 1e-12
 def _require_continuous(inst: Instance) -> None:
     i = inst._first_discontinuous
     if i is not None:
-        raise NotContinuous(f"variable {i} has a discontinuous CDF")
+        raise ValidationError(f"variable {i} has a discontinuous CDF")
 
 
 @dataclass(frozen=True)
@@ -137,9 +137,9 @@ def compute_psi_star(inst: Instance, r_star: float) -> PsiSolution:
     alpha solves alpha * sum_{S+} P + (1 - alpha) * sum_{S-} P = 1.  When the
     two sums fail to straddle 1 by at most TOL_PSI (threshold imprecision),
     alpha clamps to the nearer endpoint and the solution degrades to an
-    integer one; a larger failure raises AlphaOutOfRange.
+    integer one; a larger failure raises ValidationError.
     """
-    s_minus, s_plus = construct_s_minus_plus(inst, r_star)  # raises NotContinuous
+    s_minus, s_plus = construct_s_minus_plus(inst, r_star)
     s_minus, s_plus = maximize_overlap(inst, r_star, s_minus, s_plus)
     p_minus = math.fsum(inst.dists[i].survival(r_star) for i in s_minus)
     p_plus = math.fsum(inst.dists[i].survival(r_star) for i in s_plus)
@@ -154,7 +154,7 @@ def compute_psi_star(inst: Instance, r_star: float) -> PsiSolution:
         alpha = 1.0
     achieved = alpha * p_plus + (1.0 - alpha) * p_minus
     if abs(achieved - 1.0) > TOL_PSI:
-        raise AlphaOutOfRange(
+        raise ValidationError(
             f"survival sums {p_minus!r} and {p_plus!r} do not straddle 1 "
             f"within {TOL_PSI}; r_star={r_star!r} is too far from a minimizer"
         )

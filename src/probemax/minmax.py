@@ -23,13 +23,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .distributions import Distribution
-from .errors import (
-    DegenerateSet,
-    IndexOutOfRange,
-    InvalidTolerance,
-    NotContinuous,
-    ValidationError,
-)
+from .errors import ValidationError
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi, golden-section shrink factor
 
@@ -77,12 +71,12 @@ class Instance:
         idx = []
         for i in indices:
             if not isinstance(i, (int, np.integer)) or isinstance(i, bool):
-                raise IndexOutOfRange(f"index {i!r} is not an integer")
+                raise ValidationError(f"index {i!r} is not an integer")
             if not 0 <= i < self.n:
-                raise IndexOutOfRange(f"index {i!r} outside [0, {self.n})")
+                raise ValidationError(f"index {i!r} outside [0, {self.n})")
             idx.append(int(i))
         if len(set(idx)) != len(idx):
-            raise IndexOutOfRange(f"duplicate indices in subset {tuple(idx)!r}")
+            raise ValidationError(f"duplicate indices in subset {tuple(idx)!r}")
         return tuple(sorted(idx))
 
 
@@ -108,12 +102,6 @@ def g_values(inst: Instance, r: float) -> list[float]:
     return [d.g_value(r) for d in inst.dists]
 
 
-def h_value(inst: Instance, r: float, subset: Iterable[int]) -> float:
-    """H(r, S) = r + sum_{i in S} E[(X_i - r)^+]."""
-    idx = inst.subset(subset)
-    return r + math.fsum(inst.dists[i].g_value(r) for i in idx)
-
-
 def h_max(inst: Instance, r: float) -> float:
     """Upper envelope H_max(r) = r + the sum of the k largest G_i(r).
 
@@ -134,7 +122,7 @@ def minimize_hmax(inst: Instance, xi_target: float) -> BoundResult:
     value.
     """
     if not (isinstance(xi_target, (int, float)) and math.isfinite(xi_target)) or xi_target <= 0.0:
-        raise InvalidTolerance(f"xi_target={xi_target!r} must be a positive real")
+        raise ValidationError(f"xi_target={xi_target!r} must be a positive real")
     lo, hi = 0.0, inst.n * inst.mu_max
     if not math.isfinite(hi):
         raise ValidationError(
@@ -182,7 +170,7 @@ def rho(inst: Instance, subset: Iterable[int]) -> float:
     """
     idx = inst.subset(subset)
     if not idx:
-        raise DegenerateSet("empty subset has no root threshold")
+        raise ValidationError("empty subset has no root threshold")
     members = [inst.dists[i] for i in idx]
     try:
         mu_sum = math.fsum(d.mean() for d in members)
@@ -192,7 +180,7 @@ def rho(inst: Instance, subset: Iterable[int]) -> float:
             "the variables' values exceed the floating-point range"
         ) from None
     if mu_sum <= 0.0:
-        raise DegenerateSet("subset with zero total mean has root 0 and no guarantee")
+        raise ValidationError("subset with zero total mean has root 0 and no guarantee")
     tol = RHO_TOL_SCALE * mu_sum
     lo, hi = 0.0, mu_sum
     while hi - lo > tol:
@@ -211,5 +199,5 @@ def h_derivative_continuous(inst: Instance, r: float, subset: Iterable[int]) -> 
     idx = inst.subset(subset)
     for i in idx:
         if not inst.dists[i].is_continuous:
-            raise NotContinuous(f"variable {i} has a discontinuous CDF; derivative undefined")
+            raise ValidationError(f"variable {i} has a discontinuous CDF; derivative undefined")
     return 1.0 - math.fsum(inst.dists[i].survival(r) for i in idx)

@@ -16,7 +16,7 @@ from itertools import combinations, islice
 import numpy as np
 
 from .distributions import DiscreteFinite
-from .errors import InstanceTooLarge, NotDiscrete
+from .errors import InstanceTooLarge, ValidationError
 from .minmax import Instance
 from .policy_eval import _expected_maxima
 
@@ -32,7 +32,7 @@ def _require_discrete(inst: Instance) -> list[DiscreteFinite]:
     members = []
     for i, d in enumerate(inst.dists):
         if not isinstance(d, DiscreteFinite):
-            raise NotDiscrete(f"variable {i} is not finite discrete")
+            raise ValidationError(f"variable {i} is not finite discrete")
         members.append(d)
     return members
 

@@ -37,7 +37,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .distributions import DiscreteFinite, Distribution
-from .errors import NotDiscrete, ValidationError
+from .errors import ValidationError
 
 # Trials per simulation block.  The simulator holds a few arrays of this
 # length (512 KB each), allocated once, and the draws' temporaries, whatever
@@ -229,10 +229,10 @@ def expected_max_exact_discrete(
     for i in idx:
         d = dists[i]
         if not isinstance(d, DiscreteFinite):
-            raise NotDiscrete(f"variable {i} is not finite discrete; exact E[max] unavailable")
+            raise ValidationError(f"variable {i} is not finite discrete; exact E[max] unavailable")
         members.append(d)
     if not members:
-        raise NotDiscrete("empty subset")
+        raise ValidationError("empty subset")
     return _expected_maxima(members, np.arange(len(members))[np.newaxis])[0]
 
 

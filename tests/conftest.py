@@ -1,4 +1,7 @@
-"""Shared builders for seeded random test instances."""
+"""Shared builders for seeded random test instances, and H(r, S) as a reference."""
+
+import math
+from typing import Iterable
 
 import numpy as np
 
@@ -20,3 +23,13 @@ def random_continuous_instance(seed: int, n_lo: int = 3, n_hi: int = 8) -> Insta
     n = int(rng.integers(n_lo, n_hi + 1))
     k = int(rng.integers(1, n + 1))
     return gen_instance(n, k, "mixed", seed)
+
+
+def h_value(inst: Instance, r: float, subset: Iterable[int]) -> float:
+    """H(r, S) = r + sum_{i in S} E[(X_i - r)^+], the reference for h_max.
+
+    fsum over the same tail moments as h_max, so on a maximizing set the two
+    agree bit for bit.
+    """
+    idx = inst.subset(subset)
+    return r + math.fsum(inst.dists[i].g_value(r) for i in idx)

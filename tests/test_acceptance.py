@@ -12,7 +12,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from conftest import random_continuous_instance, random_discrete_instance
+from conftest import h_value, random_continuous_instance, random_discrete_instance
 from probemax import (
     Instance,
     ThresholdPolicy,
@@ -20,7 +20,6 @@ from probemax import (
     adaptive_optimum_dp,
     evaluate,
     expected_max_exact_discrete,
-    gap2_policy,
     rho,
     select_gap2_set,
     simulate,
@@ -28,7 +27,7 @@ from probemax import (
     static_optimum_enum,
 )
 from probemax.instance_io import gen_instance, iid_uniform01
-from probemax.minmax import h_derivative_continuous, h_value
+from probemax.minmax import h_derivative_continuous
 
 E_FLOOR = 1.0 - 1.0 / math.e
 EPSILON = 0.05

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from probemax import Instance, ProbemaxError, Uniform, ValidationError, point_mass
+from probemax import gap2 as gap2_mod
 from probemax.cli import BENCH_FAMILIES, main
 from probemax.instance_io import (
     emit_instance,
@@ -225,6 +226,15 @@ class TestCommands:
         code, out, err = run_cli(["gap2", str(path)], capsys)
         assert code == 1
         assert out == "" and "overflows" in err
+
+    def test_guarantee_violation_exit_code(self, uniform_file, tmp_path, monkeypatch, capsys):
+        # A negative slack makes the proven inequality U* <= (2 + eps) rho fail.
+        monkeypatch.setattr(gap2_mod, "GUARANTEE_RTOL", -1.0)
+        out_path = tmp_path / "gap2.csv"
+        code, out, err = run_cli(["gap2", uniform_file, "--out", str(out_path)], capsys)
+        assert code == 2
+        assert out == "" and not out_path.exists()
+        assert err.startswith("internal guarantee violation: u_star=") and err.count("\n") == 1
 
     def test_k_too_large_exit_code(self, tmp_path, capsys):
         path = tmp_path / "bad.inst"

@@ -12,7 +12,6 @@ from scipy import integrate
 
 from probemax import DiscreteFinite, Exponential, Uniform, ValidationError, point_mass
 from probemax.distributions import _COUNT_DRAW_MAX_ATOMS, Mixture
-from probemax.errors import ZeroTail
 
 ATOL = 1e-12
 
@@ -77,9 +76,11 @@ class TestCondExpGe:
         assert d.cond_exp_ge(2.0) == pytest.approx(num / den, abs=1e-8)
 
     def test_zero_tail_raises(self):
-        with pytest.raises(ZeroTail):
+        with pytest.raises(ValidationError, match=r"^P\(X >= 2\.0\) = 0, "
+                           "conditional expectation undefined$"):
             point_mass(1.0).cond_exp_ge(2.0)
-        with pytest.raises(ZeroTail):
+        with pytest.raises(ValidationError, match=r"^P\(X >= 1\.0\) = 0, "
+                           "conditional expectation undefined$"):
             Uniform(0, 1).cond_exp_ge(1.0)
 
 
@@ -310,6 +311,16 @@ class TestValidation:
         with pytest.raises(ValidationError, match="too small"):
             Exponential(edge)
         assert math.isfinite(Exponential(math.nextafter(edge, 1.0)).mean())
+
+    def test_uniform_whose_mean_overflows(self):
+        with pytest.raises(ValidationError, match=r"^uniform endpoints a=1e\+308, b=1\.5e\+308 "
+                           "are too large: their mean overflows$"):
+            Uniform(1e308, 1.5e308)
+        top = sys.float_info.max
+        with pytest.raises(ValidationError, match="their mean overflows"):
+            Uniform(math.nextafter(top, 0.0), top)  # a + b overflows, though b - a is finite
+        assert Uniform(0.0, top).mean() == 0.5 * top
+        assert Uniform(top / 4, top / 2).mean() == 0.375 * top
 
     def test_mixture_nesting_depth(self):
         inner = Mixture(0.5, Uniform(0, 1), Uniform(0, 2))

@@ -1,0 +1,178 @@
+"""One input-error class: every rejected input is a ValidationError.
+
+The parametrized test drives every raise site a caller's input reaches in
+the layer modules, plus the rejections no other test runs, and checks the
+class and the whole message.  The guard below reads the package source
+with `ast`, so a raise of a new ad-hoc class fails here instead of slipping
+past `except ValidationError`.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+from probemax import (
+    DiscreteFinite,
+    Instance,
+    Uniform,
+    ValidationError,
+    adaptive_optimum_dp,
+    emit_instance,
+    expected_max_exact_discrete,
+    minimize_hmax,
+    point_mass,
+    rho,
+    select_gap2_set,
+    solve_continuous,
+    static_optimum_enum,
+)
+from probemax import errors
+from probemax.distributions import Mixture
+from probemax.errors import InstanceTooLarge
+from probemax.gap_continuous import compute_psi_star
+from probemax.minmax import h_derivative_continuous
+
+SRC = Path(errors.__file__).resolve().parent
+
+#: The classes a package module may raise, and errors.py's classes by base.
+RAISABLE = {"ValidationError", "InstanceTooLarge", "GuaranteeViolation"}
+HIERARCHY = {
+    "ProbemaxError": "Exception",
+    "ValidationError": "ProbemaxError",
+    "InstanceTooLarge": "ValidationError",
+    "GuaranteeViolation": "ProbemaxError",
+}
+
+TWO_UNIFORM = Instance([Uniform(0, 1), Uniform(0, 1)], 2)
+COIN = DiscreteFinite([(0, 0.5), (1, 0.5)])
+
+#: site -> (call that rejects its input, class, whole message).
+SITES = {
+    "distributions.cond_exp_ge: empty tail": (
+        lambda: point_mass(1.0).cond_exp_ge(2.0),
+        ValidationError, "P(X >= 2.0) = 0, conditional expectation undefined"),
+    "gap2.check_epsilon": (
+        lambda: select_gap2_set(TWO_UNIFORM, 2.0),
+        ValidationError, "epsilon=2.0 must lie strictly inside (0, 1)"),
+    "gap_continuous._require_continuous": (
+        lambda: solve_continuous(Instance([Uniform(0, 1), point_mass(1.0)], 1)),
+        ValidationError, "variable 1 has a discontinuous CDF"),
+    "gap_continuous.compute_psi_star: far from a minimizer": (
+        lambda: compute_psi_star(TWO_UNIFORM, 0.9),
+        ValidationError,
+        "survival sums 0.19999999999999996 and 0.19999999999999996 do not straddle 1 "
+        "within 0.0001; r_star=0.9 is too far from a minimizer"),
+    "minmax.Instance: non-integer k": (
+        lambda: Instance([Uniform(0, 1)], 1.0),
+        ValidationError, "budget k=1.0 must be an integer"),
+    "minmax.Instance.subset: non-integer index": (
+        lambda: TWO_UNIFORM.subset([0.5]),
+        ValidationError, "index 0.5 is not an integer"),
+    "minmax.Instance.subset: index out of range": (
+        lambda: rho(TWO_UNIFORM, [5]),
+        ValidationError, "index 5 outside [0, 2)"),
+    "minmax.Instance.subset: duplicate index": (
+        lambda: rho(TWO_UNIFORM, [1, 1]),
+        ValidationError, "duplicate indices in subset (1, 1)"),
+    "minmax.minimize_hmax: bad tolerance": (
+        lambda: minimize_hmax(TWO_UNIFORM, 0.0),
+        ValidationError, "xi_target=0.0 must be a positive real"),
+    "minmax.rho: empty subset": (
+        lambda: rho(TWO_UNIFORM, []),
+        ValidationError, "empty subset has no root threshold"),
+    "minmax.rho: zero mean": (
+        lambda: rho(Instance([point_mass(0.0), point_mass(1.0)], 1), [0]),
+        ValidationError, "subset with zero total mean has root 0 and no guarantee"),
+    "minmax.h_derivative_continuous: discontinuous member": (
+        lambda: h_derivative_continuous(Instance([point_mass(1.0)], 1), 0.5, [0]),
+        ValidationError, "variable 0 has a discontinuous CDF; derivative undefined"),
+    "oracles._require_discrete": (
+        lambda: adaptive_optimum_dp(Instance([COIN, Uniform(0, 1)], 1)),
+        ValidationError, "variable 1 is not finite discrete"),
+    "oracles.adaptive_optimum_dp: state budget": (
+        # (k + 1) * 2^n * (1 + atoms) = 2 * 2^18 * 37 states
+        lambda: adaptive_optimum_dp(Instance([COIN] * 18, 1)),
+        InstanceTooLarge, "state bound 19398656 exceeds budget 5000000"),
+    "oracles.static_optimum_enum: subset budget": (
+        lambda: static_optimum_enum(Instance([COIN] * 20, 10)),
+        InstanceTooLarge, "184756 subsets exceed budget 100000"),
+    "policy_eval.expected_max_exact_discrete: not discrete": (
+        lambda: expected_max_exact_discrete([COIN, Uniform(0, 1)], [0, 1]),
+        ValidationError, "variable 1 is not finite discrete; exact E[max] unavailable"),
+    "policy_eval.expected_max_exact_discrete: empty subset": (
+        lambda: expected_max_exact_discrete([COIN], []),
+        ValidationError, "empty subset"),
+    "instance_io.emit_instance: mixture": (
+        lambda: emit_instance(Instance([Mixture(0.5, Uniform(0, 1), Uniform(0, 2))], 1)),
+        ValidationError,
+        "distribution Mixture(0.5, Uniform(0.0, 1.0), Uniform(0.0, 2.0)) "
+        "has no file representation"),
+}
+
+
+@pytest.mark.parametrize("site", list(SITES))
+def test_rejected_input_is_a_validation_error(site):
+    call, cls, message = SITES[site]
+    with pytest.raises(ValidationError) as info:
+        call()
+    assert type(info.value) is cls
+    assert str(info.value) == message
+
+
+def raised_names(tree: ast.AST) -> list[tuple[int, str]]:
+    """(line, class name) of every raise in `tree` that names an exception.
+
+    `raise X(...)` names X; `raise name` names the class of the call the
+    innermost enclosing function assigns to `name`.  A bare `raise` names
+    nothing.
+    """
+    found = []
+
+    def visit(node: ast.AST, made: dict) -> None:
+        if isinstance(node, ast.FunctionDef):
+            made = {
+                target.id: assign.value
+                for assign in ast.walk(node) if isinstance(assign, ast.Assign)
+                for target in assign.targets if isinstance(target, ast.Name)
+            }
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc
+            if isinstance(exc, ast.Name):
+                exc = made.get(exc.id, exc)
+            name = exc.func if isinstance(exc, ast.Call) else exc
+            found.append((node.lineno, ast.unparse(name)))
+        for child in ast.iter_child_nodes(node):
+            visit(child, made)
+
+    visit(tree, {})
+    return found
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_modules_raise_only_the_package_classes(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    stray = [(line, name) for line, name in raised_names(tree) if name not in RAISABLE]
+    assert stray == []
+
+
+def test_errors_module_defines_exactly_four_classes():
+    tree = ast.parse((SRC / "errors.py").read_text(encoding="utf-8"))
+    classes = {
+        node.name: [ast.unparse(base) for base in node.bases]
+        for node in tree.body if isinstance(node, ast.ClassDef)
+    }
+    assert classes == {name: [base] for name, base in HIERARCHY.items()}
+
+
+def test_guard_sees_an_ad_hoc_class():
+    source = (
+        "class NotAnInput(ProbemaxError):\n    pass\n"
+        "def f(x):\n"
+        "    if x:\n        raise NotAnInput('x')\n"
+        "    exc = KeyError(x)\n    raise exc\n"
+        "def g():\n    raise ValidationError('fine') from None\n"
+    )
+    assert raised_names(ast.parse(source)) == [
+        (5, "NotAnInput"), (7, "KeyError"), (9, "ValidationError"),
+    ]

@@ -21,6 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import h_value
 from probemax import (
     DiscreteFinite,
     Instance,
@@ -33,7 +34,7 @@ from probemax import (
 from probemax import oracles
 from probemax.gap2 import TIE_TOL, build_tilde_set, tie_class_at
 from probemax.gap_continuous import CONT_TIE_TOL, construct_s_minus_plus
-from probemax.minmax import h_max, h_value
+from probemax.minmax import h_max
 
 SETTINGS = settings(max_examples=200, deadline=None)
 

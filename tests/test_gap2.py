@@ -1,26 +1,32 @@
 """Tests for the factor-(2 + eps) construction on general variables."""
 
+import re
+
 import numpy as np
 import pytest
 
-from conftest import random_discrete_instance
+from conftest import h_value, random_discrete_instance
 from probemax import (
     DiscreteFinite,
     Instance,
     Uniform,
+    ValidationError,
     adaptive_optimum_dp,
     evaluate,
     expected_max_exact_discrete,
-    gap2_policy,
     point_mass,
     rho,
     select_gap2_set,
 )
-from probemax.errors import InvalidEpsilon
 from probemax.gap2 import build_tilde_set, narrow_interval, tie_class_at
-from probemax.minmax import h_max, h_value
+from probemax.minmax import h_max
 
 TWO_UNIFORM = Instance([Uniform(0, 1), Uniform(0, 1)], 2)
+
+
+def epsilon_message(eps) -> str:
+    """Pattern of the whole message that rejects epsilon `eps`."""
+    return f"^epsilon={re.escape(repr(eps))} must lie strictly inside \\(0, 1\\)$"
 
 
 class TestNarrowInterval:
@@ -36,7 +42,7 @@ class TestNarrowInterval:
 
     @pytest.mark.parametrize("eps", [0.0, 1.0, -0.1, 1.5])
     def test_epsilon_rejected(self, eps):
-        with pytest.raises(InvalidEpsilon):
+        with pytest.raises(ValidationError, match=epsilon_message(eps)):
             narrow_interval(TWO_UNIFORM, eps)
 
 
@@ -132,21 +138,27 @@ class TestSelectGap2Set:
 
     @pytest.mark.parametrize("eps", [0.0, 1.0])
     def test_epsilon_validation(self, eps):
-        with pytest.raises(InvalidEpsilon):
+        with pytest.raises(ValidationError, match=epsilon_message(eps)):
             select_gap2_set(TWO_UNIFORM, eps)
 
 
 class TestGap2Policy:
+    def test_policy_is_the_chosen_set_at_the_threshold(self):
+        inst = Instance([Uniform(0, 1), point_mass(0.3), Uniform(0, 2)], 2)
+        result = select_gap2_set(inst, 0.05)
+        assert result.policy.entries == tuple(inst.dists[i] for i in result.chosen)
+        assert result.policy.threshold == result.threshold
+
     def test_point_mass_floor(self):
         inst = Instance([point_mass(1.0)], 1)
         result = select_gap2_set(inst, 0.1)
-        stats = evaluate(gap2_policy(result))
+        stats = evaluate(result.policy)
         assert stats.expected_reward == pytest.approx(1.0)
         assert stats.expected_reward >= result.threshold
 
     def test_two_uniform_floor(self):
         result = select_gap2_set(TWO_UNIFORM, 0.05)
-        stats = evaluate(gap2_policy(result))
+        stats = evaluate(result.policy)
         assert stats.expected_reward >= result.threshold - 1e-9
 
     def test_single_two_point_variable(self):
@@ -155,7 +167,7 @@ class TestGap2Policy:
         inst = Instance([DiscreteFinite([(0.0, 0.5), (2.0, 0.5)])], 1)
         result = select_gap2_set(inst, 0.05)
         assert result.threshold == pytest.approx(2.0 / 3.0, abs=1e-9)
-        stats = evaluate(gap2_policy(result))
+        stats = evaluate(result.policy)
         assert stats.expected_reward == pytest.approx(1.0, abs=1e-12)
 
 
@@ -167,7 +179,7 @@ class TestGuarantees:
         result = select_gap2_set(inst, eps)
         u_star = result.bound.u_star
         assert u_star <= (2 + eps) * result.threshold + 1e-9 * u_star
-        stats = evaluate(gap2_policy(result))
+        stats = evaluate(result.policy)
         assert stats.expected_reward >= result.threshold - 1e-9
 
     @pytest.mark.parametrize("seed", range(40))

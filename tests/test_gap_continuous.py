@@ -1,24 +1,25 @@
 """Tests for the continuous pipeline: psi*, threshold policy, derandomization."""
 
 import math
+import re
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_continuous_instance
+from conftest import h_value, random_continuous_instance
 from probemax import (
     Instance,
     ThresholdPolicy,
     Uniform,
+    ValidationError,
     evaluate,
     minimize_hmax,
     point_mass,
     solve_continuous,
 )
 from probemax.distributions import Mixture
-from probemax.errors import AlphaOutOfRange, NotContinuous
 from probemax.gap_continuous import (
     CONT_TIE_TOL,
     TOL_PSI,
@@ -29,7 +30,7 @@ from probemax.gap_continuous import (
     derandomize,
     maximize_overlap,
 )
-from probemax.minmax import h_max, h_value
+from probemax.minmax import h_max
 
 E_FLOOR = 1.0 - 1.0 / math.e
 
@@ -75,7 +76,7 @@ class TestConstructSMinusPlus:
 
     def test_discrete_rejected(self):
         inst = Instance([point_mass(1.0), Uniform(0, 1)], 1)
-        with pytest.raises(NotContinuous):
+        with pytest.raises(ValidationError, match="^variable 0 has a discontinuous CDF$"):
             construct_s_minus_plus(inst, 0.5)
 
 
@@ -131,12 +132,16 @@ class TestComputePsiStar:
 
     def test_far_from_minimizer_raises(self):
         inst = Instance([Uniform(0, 1), Uniform(0, 1)], 2)
-        with pytest.raises(AlphaOutOfRange):
+        message = (
+            "survival sums 0.19999999999999996 and 0.19999999999999996 do not straddle 1 "
+            "within 0.0001; r_star=0.9 is too far from a minimizer"
+        )
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             compute_psi_star(inst, 0.9)
 
     def test_discrete_rejected(self):
         inst = Instance([point_mass(1.0)], 1)
-        with pytest.raises(NotContinuous):
+        with pytest.raises(ValidationError, match="^variable 0 has a discontinuous CDF$"):
             compute_psi_star(inst, 0.3)
 
 
@@ -280,16 +285,16 @@ class TestPipeline:
 
     def test_discrete_instance_rejected(self):
         inst = Instance([point_mass(1.0), Uniform(0, 1)], 1)
-        with pytest.raises(NotContinuous):
+        with pytest.raises(ValidationError, match="^variable 0 has a discontinuous CDF$"):
             solve_continuous(inst)
 
     def test_first_discontinuous_variable_named_and_found_once(self):
         dists = [Uniform(0, 1), Uniform(0, 2), point_mass(1.0), point_mass(2.0)]
         inst = Instance(dists, 2)
-        with pytest.raises(NotContinuous, match=r"^variable 2 has a discontinuous CDF$"):
+        with pytest.raises(ValidationError, match=r"^variable 2 has a discontinuous CDF$"):
             solve_continuous(inst)
         assert vars(inst)["_first_discontinuous"] == 2
-        with pytest.raises(NotContinuous, match=r"^variable 2 has"):
+        with pytest.raises(ValidationError, match=r"^variable 2 has a discontinuous CDF$"):
             construct_s_minus_plus(inst, 0.5)
         assert Instance(dists[:2], 1)._first_discontinuous is None
 
@@ -345,7 +350,11 @@ def test_window_pair_on_tie_heavy_instances(inst):
         assert hi == s_plus
 
     if p_minus - 1.0 > TOL_PSI or 1.0 - p_plus > TOL_PSI:
-        with pytest.raises(AlphaOutOfRange):
+        message = (
+            f"survival sums {survival_sum(inst, lo)!r} and {survival_sum(inst, hi)!r} do not "
+            f"straddle 1 within {TOL_PSI}; r_star={R_TIE!r} is too far from a minimizer"
+        )
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             compute_psi_star(inst, R_TIE)
         return
     sol = compute_psi_star(inst, R_TIE)

@@ -22,7 +22,6 @@ from probemax import (
     adaptive_optimum_dp,
     evaluate,
     expected_max_exact_discrete,
-    gap2_policy,
     gen_instance,
     select_gap2_set,
     solve_continuous,
@@ -66,7 +65,7 @@ def golden_record(family: str, seed: int, n_max: int) -> dict:
                  res.rho_minus, res.bound.u_star, res.bound.iterations],
     }
     if family == "discrete":
-        rec["stats"] = _stats(evaluate(gap2_policy(res)))
+        rec["stats"] = _stats(evaluate(res.policy))
         s_star, s_set = static_optimum_enum(inst)
         rec["exact"] = [adaptive_optimum_dp(inst), s_star, s_set,
                         expected_max_exact_discrete(inst.dists, res.chosen)]

@@ -6,7 +6,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from conftest import random_continuous_instance, random_discrete_instance
+from conftest import h_value, random_continuous_instance, random_discrete_instance
 from probemax import (
     DiscreteFinite,
     Exponential,
@@ -17,14 +17,8 @@ from probemax import (
     point_mass,
     rho,
 )
-from probemax.errors import (
-    DegenerateSet,
-    IndexOutOfRange,
-    InvalidTolerance,
-    NotContinuous,
-)
 from probemax.gap2 import tie_class_at
-from probemax.minmax import h_derivative_continuous, h_max, h_value
+from probemax.minmax import h_derivative_continuous, h_max
 
 TWO_UNIFORM = Instance([Uniform(0, 1), Uniform(0, 1)], 2)
 
@@ -64,9 +58,9 @@ class TestHValue:
         assert h_value(TWO_UNIFORM, 0.0, []) == 0.0
 
     def test_bad_subset(self):
-        with pytest.raises(IndexOutOfRange):
+        with pytest.raises(ValidationError, match=r"^index 2 outside \[0, 2\)$"):
             h_value(TWO_UNIFORM, 0.0, [2])
-        with pytest.raises(IndexOutOfRange):
+        with pytest.raises(ValidationError, match=r"^duplicate indices in subset \(0, 0\)$"):
             h_value(TWO_UNIFORM, 0.0, [0, 0])
 
 
@@ -110,9 +104,9 @@ class TestMinimizeHmax:
         assert bound.u_star == pytest.approx(0.9, abs=1e-6)
 
     def test_invalid_tolerance(self):
-        with pytest.raises(InvalidTolerance):
+        with pytest.raises(ValidationError, match=r"^xi_target=0\.0 must be a positive real$"):
             minimize_hmax(TWO_UNIFORM, 0.0)
-        with pytest.raises(InvalidTolerance):
+        with pytest.raises(ValidationError, match=r"^xi_target=-0\.001 must be a positive real$"):
             minimize_hmax(TWO_UNIFORM, -1e-3)
 
     def test_iteration_budget(self):
@@ -158,9 +152,10 @@ class TestRho:
 
     def test_degenerate_set(self):
         inst = Instance([point_mass(0.0), point_mass(1.0)], 1)
-        with pytest.raises(DegenerateSet):
+        with pytest.raises(ValidationError, match="^subset with zero total mean has root 0 "
+                           "and no guarantee$"):
             rho(inst, [0])
-        with pytest.raises(DegenerateSet):
+        with pytest.raises(ValidationError, match="^empty subset has no root threshold$"):
             rho(inst, [])
 
 
@@ -177,7 +172,8 @@ class TestDerivative:
 
     def test_discrete_rejected(self):
         inst = Instance([point_mass(1.0), Uniform(0, 1)], 1)
-        with pytest.raises(NotContinuous):
+        with pytest.raises(ValidationError, match="^variable 0 has a discontinuous CDF; "
+                           "derivative undefined$"):
             h_derivative_continuous(inst, 0.5, [0, 1])
 
 

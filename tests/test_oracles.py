@@ -13,13 +13,14 @@ from probemax import (
     DiscreteFinite,
     Instance,
     Uniform,
+    ValidationError,
     adaptive_optimum_dp,
     expected_max_exact_discrete,
     minimize_hmax,
     point_mass,
     static_optimum_enum,
 )
-from probemax.errors import InstanceTooLarge, NotDiscrete
+from probemax.errors import InstanceTooLarge
 from probemax.instance_io import gen_instance
 
 COIN = DiscreteFinite([(0, 0.5), (1, 0.5)])
@@ -102,7 +103,7 @@ class TestAdaptiveOptimumDP:
         assert a_star == pytest.approx(_best_policy_tree_value(list(inst.dists), inst.k), abs=1e-12)
 
     def test_continuous_rejected(self):
-        with pytest.raises(NotDiscrete):
+        with pytest.raises(ValidationError, match="^variable 0 is not finite discrete$"):
             adaptive_optimum_dp(Instance([Uniform(0, 1)], 1))
 
     def test_memo_is_freed_without_the_cyclic_collector(self):
@@ -191,7 +192,7 @@ class TestStaticOptimumEnum:
         # An exact continuous E[max] would answer S* = E[max(U(0,2), U(0,3))]
         # = 3/2 + 2/9 (by direct integration) with witness (1, 2) here.
         inst = Instance([Uniform(0, 1), Uniform(0, 2), Uniform(0, 3)], 2)
-        with pytest.raises(NotDiscrete):
+        with pytest.raises(ValidationError, match="^variable 0 is not finite discrete$"):
             static_optimum_enum(inst)
 
 

@@ -26,7 +26,6 @@ from probemax import (
     simulate,
 )
 from probemax.distributions import Mixture
-from probemax.errors import NotDiscrete
 from probemax.policy_eval import bernoulli_count_pmf
 
 
@@ -364,7 +363,8 @@ class TestExpectedMaxExactDiscrete:
         assert expected_max_exact_discrete([d], [0]) == pytest.approx(d.mean(), abs=1e-12)
 
     def test_continuous_rejected(self):
-        with pytest.raises(NotDiscrete):
+        with pytest.raises(ValidationError, match="^variable 0 is not finite discrete; "
+                           r"exact E\[max\] unavailable$"):
             expected_max_exact_discrete([Uniform(0, 1)], [0])
 
     @pytest.mark.parametrize("seed", range(10))
