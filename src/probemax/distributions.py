@@ -18,7 +18,7 @@ import math
 import sys
 from abc import ABC, abstractmethod
 from bisect import bisect_left
-from itertools import accumulate
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -332,8 +332,9 @@ class Uniform(Distribution):
             return 0.0
         # integral of x/(b-a) over [r, b]
         num = self.b * self.b - r * r
-        if num < sys.float_info.min:
-            # b*b and r*r underflow at tiny scales; this form does not.
+        if not sys.float_info.min <= num < math.inf:
+            # b*b and r*r underflow at tiny scales and overflow at huge
+            # ones; this form does neither.
             d = self.b - r
             return (d / (self.b - self.a)) * (r + 0.5 * d)
         return num / (2.0 * (self.b - self.a))
@@ -344,8 +345,8 @@ class Uniform(Distribution):
         if r >= self.b:
             return 0.0
         d = self.b - r
-        if d * d < sys.float_info.min:
-            return (d / (self.b - self.a)) * (0.5 * d)  # d*d underflows
+        if not sys.float_info.min <= d * d < math.inf:
+            return (d / (self.b - self.a)) * (0.5 * d)  # d*d under- or overflows
         return d * d / (2.0 * (self.b - self.a))
 
     def draw(self, u):
@@ -470,3 +471,167 @@ class Mixture(Distribution):
 def point_mass(value: float) -> DiscreteFinite:
     """Degenerate distribution putting all mass on one value."""
     return DiscreteFinite([(value, 1.0)])
+
+
+class _Batch:
+    """G_i(r) and P(X_i >= r) of a list of variables as float64 arrays.
+
+    This base form loops the scalar methods, which covers Mixture and any
+    other subclass.  The family forms below evaluate one numpy pass per
+    call and equal the scalar methods bit for bit: they repeat each scalar
+    expression elementwise, and compute exp with math.exp, whose bits,
+    unlike np.exp's, do not depend on the host's SIMD dispatch; this holds
+    for every r that is not NaN.  Batches are called through _Packed, which
+    mutes numpy's overflow and invalid warnings, as Python's float
+    arithmetic is silent on both.
+    """
+
+    def __init__(self, dists) -> None:
+        self._dists = tuple(dists)
+
+    def g_value(self, r: float) -> np.ndarray:
+        return np.array([d.g_value(r) for d in self._dists], dtype=float)
+
+    def survival(self, r: float) -> np.ndarray:
+        return np.array([d.survival(r) for d in self._dists], dtype=float)
+
+
+class _UniformBatch(_Batch):
+    def __init__(self, dists) -> None:
+        self._a = np.array([d.a for d in dists])
+        self._b = np.array([d.b for d in dists])
+        self._width = self._b - self._a
+        with np.errstate(over="ignore"):  # inf above 2**1023, as in the scalar form
+            self._two_width = 2.0 * self._width
+        self._mean = 0.5 * (self._a + self._b)
+        # An r below every b, or above every a, needs no mask for that end.
+        self._b_min = float(self._b.min())
+        self._a_max = float(self._a.max())
+
+    def g_value(self, r: float) -> np.ndarray:
+        d = self._b - r
+        dd = d * d
+        g = dd / self._two_width
+        odd = (dd < sys.float_info.min) | (dd == math.inf)
+        if odd.any():
+            g[odd] = (d[odd] / self._width[odd]) * (0.5 * d[odd])
+        if r >= self._b_min:
+            g[r >= self._b] = 0.0
+        if r <= self._a_max:
+            low = r <= self._a
+            g[low] = self._mean[low] - r
+        return g
+
+    def survival(self, r: float) -> np.ndarray:
+        s = (self._b - r) / self._width
+        if r >= self._b_min:
+            s[r >= self._b] = 0.0
+        if r <= self._a_max:
+            s[r <= self._a] = 1.0
+        return s
+
+
+class _ExponentialBatch(_Batch):
+    def __init__(self, dists) -> None:
+        self._rate = np.array([d.rate for d in dists])
+        self._neg_rate = -self._rate
+        self._mean = 1.0 / self._rate
+
+    def _exp(self, r: float) -> np.ndarray:
+        args = (self._neg_rate * r).tolist()
+        return np.fromiter(map(math.exp, args), dtype=float, count=len(args))
+
+    def g_value(self, r: float) -> np.ndarray:
+        if r <= 0.0:
+            return self._mean - r
+        return self._exp(r) / self._rate
+
+    def survival(self, r: float) -> np.ndarray:
+        if r <= 0.0:
+            return np.ones(len(self._rate))
+        return self._exp(r)
+
+
+class _DiscreteBatch(_Batch):
+    """The atoms of many DiscreteFinite rows in one CSR layout.
+
+    Row j's sorted values are `values[starts[j]:starts[j] + m_j]`, and its
+    m_j + 1 suffix sums (ending in 0.0) start at `heads[j]` of the two tail
+    arrays.  The count of row values < r is the scalar bisect_left index.
+    The first tail probability of each row is stored as 1.0, which the
+    scalar survival returns there in place of the sum.
+    """
+
+    def __init__(self, dists) -> None:
+        sizes = np.array([len(d._vals) for d in dists], dtype=np.intp)
+        self._starts = np.cumsum(sizes) - sizes
+        self._heads = self._starts + np.arange(len(sizes))
+        self._values = np.fromiter(chain.from_iterable(d._vals for d in dists), dtype=float)
+        self._tail_p = np.fromiter(chain.from_iterable(d._tail_p for d in dists), dtype=float)
+        self._tail_p[self._heads] = 1.0
+        self._tail_pv = np.fromiter(
+            chain.from_iterable(d._tail_pv for d in dists), dtype=float
+        )
+
+    def _index(self, r: float) -> np.ndarray:
+        idx = np.add.reduceat(self._values < r, self._starts, dtype=np.intp)
+        idx += self._heads
+        return idx
+
+    def g_value(self, r: float) -> np.ndarray:
+        idx = self._index(r)
+        s = self._tail_p[idx]
+        g = self._tail_pv[idx]
+        g -= r * s
+        # The scalar max(g, 0.0), and its 0.0 on an empty tail, where g is
+        # NaN at r = inf; a -0.0 stays.
+        g[~(g >= 0.0)] = 0.0
+        return g
+
+    def survival(self, r: float) -> np.ndarray:
+        return self._tail_p[self._index(r)]
+
+
+_BATCHES = {
+    Uniform: _UniformBatch,
+    Exponential: _ExponentialBatch,
+    DiscreteFinite: _DiscreteBatch,
+}
+
+
+class _Packed:
+    """G_i(r) and P(X_i >= r) of every variable of a list, in list order.
+
+    Variables are grouped by exact type, one batch per group; a type
+    without a family form (Mixture, any subclass) gets the scalar loop.
+    """
+
+    def __init__(self, dists) -> None:
+        rows: dict[type, list[int]] = {}
+        for i, d in enumerate(dists):
+            rows.setdefault(type(d), []).append(i)
+        self._n = len(dists)
+        self._parts = [
+            (np.array(idx, dtype=np.intp), _BATCHES.get(t, _Batch)([dists[i] for i in idx]))
+            for t, idx in rows.items()
+        ]
+        # One family needs no scatter; its batch answers in list order.
+        self._only = self._parts[0][1] if len(self._parts) == 1 else None
+
+    def g_value(self, r: float) -> np.ndarray:
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self._only is not None:
+                return self._only.g_value(r)
+            return self._gather([batch.g_value(r) for _, batch in self._parts])
+
+    def survival(self, r: float) -> np.ndarray:
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self._only is not None:
+                return self._only.survival(r)
+            return self._gather([batch.survival(r) for _, batch in self._parts])
+
+    def _gather(self, values: list[np.ndarray]) -> np.ndarray:
+        out = np.empty(self._n)
+        for (idx, _), part in zip(self._parts, values):
+            out[idx] = part
+        return out

@@ -16,7 +16,8 @@ expectation under any inspection order, so E[max of S] is within a factor
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+
+import numpy as np
 
 from .errors import GuaranteeViolation, ValidationError
 from .minmax import BoundResult, Instance, g_values, minimize_hmax, rho
@@ -47,14 +48,17 @@ class TieClass:
     tied: tuple[int, ...]
     slots: int
 
-    def fill(self, key: Callable[[int], float]) -> tuple[int, ...]:
-        """The maximizer whose `slots` tied members have the largest key(i).
+    def fill(self, key) -> tuple[int, ...]:
+        """The maximizer whose `slots` tied members have the largest key[i].
 
-        Ties in key break toward the lowest index; the set comes back sorted.
+        `key` holds one number per variable.  Ties in key break toward the
+        lowest index; the set comes back sorted.
         """
-        # Index order first, so the sort, stable under reverse, breaks ties by index.
-        chosen = sorted(sorted(self.tied), key=key, reverse=True)[: self.slots]
-        return tuple(sorted(self.prefix + tuple(chosen)))
+        # Index order first, so the stable sort breaks ties by index.
+        tied = np.sort(np.array(self.tied, dtype=np.intp))
+        chosen = tied[np.argsort(-np.asarray(key, dtype=float)[tied], kind="stable")]
+        prefix = np.array(self.prefix, dtype=np.intp)
+        return tuple(np.sort(np.concatenate((prefix, chosen[: self.slots]))).tolist())
 
 
 def tie_class_at(inst: Instance, r_anchor: float, tol: float = TIE_TOL) -> TieClass:
@@ -63,18 +67,20 @@ def tie_class_at(inst: Instance, r_anchor: float, tol: float = TIE_TOL) -> TieCl
     Tail moments within tol * mu_max of the k-th largest one are tied.
     """
     gs = g_values(inst, r_anchor)
-    order = sorted(range(inst.n), key=gs.__getitem__, reverse=True)  # stable: ties by index
-    pivot = gs[order[inst.k - 1]]
-    k_minus = inst.k - 1
-    while k_minus > 0 and abs(gs[order[k_minus - 1]] - pivot) <= tol * inst.mu_max:
-        k_minus -= 1
-    k_plus = inst.k - 1
-    while k_plus + 1 < inst.n and abs(gs[order[k_plus + 1]] - pivot) <= tol * inst.mu_max:
-        k_plus += 1
+    order = np.argsort(-gs, kind="stable")  # ties by index
+    ranked = gs[order]
+    k = inst.k
+    # The tie class is the run of values around the k-th largest one that
+    # lie within the tolerance of it.
+    far = ~(np.abs(ranked - ranked[k - 1]) <= tol * inst.mu_max)
+    before = np.flatnonzero(far[: k - 1])
+    after = np.flatnonzero(far[k:])
+    start = int(before[-1]) + 1 if before.size else 0
+    end = k + int(after[0]) if after.size else inst.n
     return TieClass(
-        prefix=tuple(order[:k_minus]),
-        tied=tuple(order[k_minus : k_plus + 1]),
-        slots=inst.k - k_minus,
+        prefix=tuple(order[:start].tolist()),
+        tied=tuple(order[start:end].tolist()),
+        slots=k - start,
     )
 
 
@@ -116,7 +122,7 @@ def build_tilde_set(inst: Instance, r_anchor: float, r_probe: float) -> tuple[in
     The tie class at r_anchor fixes a forced prefix; its slots are filled by
     the largest G_i(r_probe), ties by lowest index.
     """
-    return tie_class_at(inst, r_anchor).fill(g_values(inst, r_probe).__getitem__)
+    return tie_class_at(inst, r_anchor).fill(g_values(inst, r_probe))
 
 
 def select_gap2_set(inst: Instance, epsilon: float = 0.05) -> Gap2Result:

@@ -28,6 +28,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
+import numpy as np
+
 from .distributions import Distribution, Mixture
 from .errors import ValidationError
 from .gap2 import TIE_TOL, tie_class_at
@@ -81,8 +83,8 @@ def construct_s_minus_plus(
     """
     _require_continuous(inst)
     tc = tie_class_at(inst, r_star, tol=CONT_TIE_TOL)
-    surv = {i: inst.dists[i].survival(r_star) for i in tc.tied}
-    return tc.fill(lambda i: -surv[i]), tc.fill(surv.__getitem__)
+    surv = inst._packed.survival(r_star)
+    return tc.fill(-surv), tc.fill(surv)
 
 
 def maximize_overlap(
@@ -110,15 +112,19 @@ def maximize_overlap(
     if d <= 1:
         return s_minus, s_plus
 
-    def by_survival(members):
-        return sorted((inst.dists[i].survival(r_star), i) for i in members)
+    surv = inst._packed.survival(r_star)
 
-    row = by_survival(set(s_minus) - shared) + by_survival(set(s_plus) - shared)
-    row_surv = [p for p, _ in row]
-    shared_surv = [inst.dists[i].survival(r_star) for i in shared]
+    def by_survival(members):
+        members = np.array(sorted(members), dtype=np.intp)
+        return members[np.argsort(surv[members], kind="stable")]  # ties by index
+
+    row = np.concatenate((by_survival(set(s_minus) - shared), by_survival(set(s_plus) - shared)))
+    row_surv = surv[row].tolist()
+    shared_surv = surv[list(shared)].tolist()
+    row = row.tolist()
 
     def window(j: int) -> tuple[int, ...]:
-        return tuple(sorted(shared.union(i for _, i in row[j : j + d])))
+        return tuple(sorted(shared.union(row[j : j + d])))
 
     lo, hi = -1, d + 1  # virtual windows beyond both ends pass and fail the test
     while hi - lo > 1:
@@ -141,8 +147,9 @@ def compute_psi_star(inst: Instance, r_star: float) -> PsiSolution:
     """
     s_minus, s_plus = construct_s_minus_plus(inst, r_star)
     s_minus, s_plus = maximize_overlap(inst, r_star, s_minus, s_plus)
-    p_minus = math.fsum(inst.dists[i].survival(r_star) for i in s_minus)
-    p_plus = math.fsum(inst.dists[i].survival(r_star) for i in s_plus)
+    surv = inst._packed.survival(r_star)
+    p_minus = math.fsum(surv[list(s_minus)].tolist())
+    p_plus = math.fsum(surv[list(s_plus)].tolist())
     if p_plus == p_minus:
         alpha = 1.0
     else:

@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .distributions import Distribution
+from .distributions import Distribution, _Packed
 from .errors import ValidationError
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi, golden-section shrink factor
@@ -54,6 +54,11 @@ class Instance:
         object.__setattr__(self, "_mu_max", mu_max)
 
     @cached_property
+    def _packed(self) -> _Packed:
+        """The variables packed by family, built on first use."""
+        return _Packed(self.dists)
+
+    @cached_property
     def _first_discontinuous(self) -> int | None:
         """Index of the first variable with a discontinuous CDF, or None."""
         return next((i for i, d in enumerate(self.dists) if not d.is_continuous), None)
@@ -68,6 +73,15 @@ class Instance:
 
     def subset(self, indices: Iterable[int]) -> tuple[int, ...]:
         """Validate a variable subset and return it as a sorted tuple."""
+        indices = list(indices)
+        # The common case, distinct Python ints in range, is checked in
+        # numpy; the loop below names the first bad index.
+        if set(map(type, indices)) <= {int} and (
+            not indices or (min(indices) >= 0 and max(indices) < self.n)
+        ):
+            idx = np.sort(np.array(indices, dtype=np.intp))
+            if not (idx[1:] == idx[:-1]).any():
+                return tuple(idx.tolist())
         idx = []
         for i in indices:
             if not isinstance(i, (int, np.integer)) or isinstance(i, bool):
@@ -97,18 +111,20 @@ class BoundResult:
     iterations: int
 
 
-def g_values(inst: Instance, r: float) -> list[float]:
-    """G_i(r) for every variable of the instance."""
-    return [d.g_value(r) for d in inst.dists]
+def g_values(inst: Instance, r: float) -> np.ndarray:
+    """G_i(r) for every variable of the instance, as a length-n array."""
+    return inst._packed.g_value(r)
 
 
 def h_max(inst: Instance, r: float) -> float:
     """Upper envelope H_max(r) = r + the sum of the k largest G_i(r).
 
     fsum is correctly rounded, so the value depends only on the multiset of
-    the k largest values; gap2.tie_class_at gives the maximizing sets.
+    the k largest values, which np.partition finds without a full sort;
+    gap2.tie_class_at gives the maximizing sets.
     """
-    return r + math.fsum(sorted(g_values(inst, r), reverse=True)[: inst.k])
+    cut = inst.n - inst.k
+    return r + math.fsum(np.partition(g_values(inst, r), cut)[cut:].tolist())
 
 
 def minimize_hmax(inst: Instance, xi_target: float) -> BoundResult:
@@ -182,12 +198,13 @@ def rho(inst: Instance, subset: Iterable[int]) -> float:
     if mu_sum <= 0.0:
         raise ValidationError("subset with zero total mean has root 0 and no guarantee")
     tol = RHO_TOL_SCALE * mu_sum
+    packed = _Packed(members)
     lo, hi = 0.0, mu_sum
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break  # a subnormal mean sum rounds tol to 0; stop at one ulp
-        if math.fsum(d.g_value(mid) for d in members) > mid:
+        if math.fsum(packed.g_value(mid).tolist()) > mid:
             lo = mid
         else:
             hi = mid
@@ -200,4 +217,4 @@ def h_derivative_continuous(inst: Instance, r: float, subset: Iterable[int]) -> 
     for i in idx:
         if not inst.dists[i].is_continuous:
             raise ValidationError(f"variable {i} has a discontinuous CDF; derivative undefined")
-    return 1.0 - math.fsum(inst.dists[i].survival(r) for i in idx)
+    return 1.0 - math.fsum(inst._packed.survival(r)[list(idx)].tolist())

@@ -221,11 +221,29 @@ class TestCommands:
             assert "line 1" in err and "'k'" in err
 
     def test_overflowing_bound_exit_code(self, tmp_path, capsys):
+        # The search bracket n * mu_max = 4.5e308 overflows.
         path = tmp_path / "huge.inst"
-        path.write_text("k 1\ndist uniform a 0 b 1e308\ndist uniform a 0 b 1.7e308\n")
+        path.write_text("k 1\n" + "".join(
+            f"dist discrete values {v} probs 1.0\n" for v in ("1e308", "1.5e308", "1e308")))
         code, out, err = run_cli(["gap2", str(path)], capsys)
         assert code == 1
         assert out == "" and "overflows" in err
+
+    def test_uniforms_near_the_float_limit_get_an_answer(self, tmp_path, capsys):
+        # b*b overflows here, but G and the tail moment are finite.
+        path = tmp_path / "huge.inst"
+        path.write_text("k 1\ndist uniform a 0 b 1e308\ndist uniform a 0 b 1.7e308\n")
+        code, out, _ = run_cli(["gap2", str(path)], capsys)
+        assert code == 0
+        row = read_rows(out)[0]
+        assert row["chosen"] == "2"
+        assert float(row["u_star"]) <= 2.05 * float(row["threshold"])
+        code, out, _ = run_cli(["eval", str(path), "--indices", "1,2", "--threshold", "0.5"],
+                               capsys)
+        assert code == 0
+        row = read_rows(out)[0]
+        assert float(row["expected_reward"]) == 0.5e308  # the first variable's mean
+        assert float(row["expected_sum"]) == 0.5e308 + 0.85e308
 
     def test_guarantee_violation_exit_code(self, uniform_file, tmp_path, monkeypatch, capsys):
         # A negative slack makes the proven inequality U* <= (2 + eps) rho fail.

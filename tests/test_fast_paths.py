@@ -3,9 +3,9 @@
 ``DiscreteFinite`` answers ``survival``, ``tail_moment_one`` and ``g_value``
 with one ``bisect`` over suffix sums held as Python floats; the reference
 kept here is the numpy form (``np.searchsorted`` over ``np.cumsum`` suffix
-arrays).  The tie class and ``TieClass.fill`` use a key-only sort that stays
-stable under ``reverse=True``, and the envelope sorts the G values
-themselves; the reference is the explicit ``(-g, i)`` key.
+arrays).  The tie class and ``TieClass.fill`` use a stable numpy argsort of
+the negated keys, and the envelope takes its k largest G values with
+``np.partition``; the reference is a sort by the explicit ``(-g, i)`` key.
 The exact oracles run a DP keyed by (best value, unprobed set) with cached
 last-probe values, and score blocks of subsets on the block's merged grid;
 the references are the DP keyed by (budget, best value, unprobed set) and
@@ -187,7 +187,7 @@ def test_every_fill_is_an_envelope_maximizer(dists, data):
     tol = data.draw(st.sampled_from((TIE_TOL, CONT_TIE_TOL)))
     keys = data.draw(st.lists(st.sampled_from((-1.0, 0.0, 0.5, 2.0)),
                               min_size=inst.n, max_size=inst.n))
-    chosen = tie_class_at(inst, r, tol=tol).fill(keys.__getitem__)
+    chosen = tie_class_at(inst, r, tol=tol).fill(keys)
     assert len(chosen) == inst.k and chosen == tuple(sorted(set(chosen)))
     # Each slot trades a tied member for one within 2 * tol * mu_max of it.
     assert abs(h_value(inst, r, chosen) - h_max(inst, r)) <= 2 * inst.k * tol * inst.mu_max

@@ -69,7 +69,7 @@ class TestTieClass:
         assert tc.prefix == (0,)
         assert tc.tied == (2, 1)
         assert tc.slots == 1
-        assert tc.fill(lambda i: 0.0) == (0, 1)
+        assert tc.fill([0.0] * inst.n) == (0, 1)
 
 
 class TestBuildTildeSet:

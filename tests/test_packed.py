@@ -1,0 +1,228 @@
+"""The packed oracles equal the scalar methods bit for bit, on every host.
+
+``Instance`` packs its variables by family, so that G_i(r) and
+P(X_i >= r) of all n variables cost one numpy pass per family; ``rho``
+packs its subset the same way.  The scalar ``Distribution`` methods are the
+reference: every packed value must carry the same bits, and the packed code
+must stay silent wherever the scalar arithmetic is.
+
+Numerics: the packed code uses only numpy's basic arithmetic, comparisons
+and sorts, whose results do not depend on the SIMD code numpy dispatches
+to, plus ``math.exp``.  So envelope values, tie classes and sets are the
+same on every host.  The child-process test checks this by turning
+AVX-512 dispatch off (``NPY_DISABLE_CPU_FEATURES``, set in the child's
+environment only).
+"""
+
+import json
+import math
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import probemax
+from probemax import DiscreteFinite, Exponential, Instance, Uniform
+from probemax.distributions import Mixture, _Packed
+from probemax.gap2 import TIE_TOL, TieClass, tie_class_at
+from probemax.gap_continuous import CONT_TIE_TOL
+from probemax.minmax import RHO_TOL_SCALE, g_values, h_max, rho
+
+SETTINGS = settings(max_examples=300, deadline=None)
+
+# Tiny scales reach the Uniform underflow branch and huge ones the
+# overflowing squares; 1e308 and 1.5e308 are the huge-* transcript scales.
+SCALES = (1e-300, 1e-200, 1e-10, 1.0, 3.0, 1e154, 1e200, 1e307)
+
+
+@st.composite
+def uniforms(draw):
+    scale = draw(st.sampled_from(SCALES))
+    lo, hi = sorted(draw(st.lists(st.floats(0.0, 1.7), min_size=2, max_size=2)))
+    a, b = lo * scale, hi * scale
+    if not (b > a and math.isfinite(0.5 * (a + b))):
+        return Uniform(0.0, scale)
+    return Uniform(a, b)
+
+
+@st.composite
+def exponentials(draw):
+    rate = draw(st.sampled_from((1e-308, 1e-200, 1e-10, 0.5, 1.0, 3.0, 1e10, 1e300)))
+    return Exponential(rate * draw(st.floats(1.0, 2.0)))
+
+
+@st.composite
+def discretes(draw):
+    grid = (0.0, -0.0, 0.5, 1.0, 2.5, 1e-300, 1e300, 1e308, 1.5e308)
+    values = draw(st.lists(
+        st.one_of(st.sampled_from(grid), st.floats(0.0, 1e6)), min_size=1, max_size=5))
+    weights = draw(st.lists(st.integers(1, 10), min_size=len(values), max_size=len(values)))
+    total = sum(weights)
+    return DiscreteFinite([(v, w / total) for v, w in zip(values, weights)])
+
+
+FAMILIES = st.one_of(uniforms(), exponentials(), discretes())
+VARIABLES = st.one_of(
+    FAMILIES,
+    st.builds(Mixture, st.floats(0.0, 1.0), FAMILIES, FAMILIES),
+)
+
+
+def probe_points(dists) -> list[float]:
+    """0.0, -0.0, negatives, every atom and endpoint with its neighbours, and past the top."""
+    points = [0.0, -0.0, -1.0, -1e308]
+    tops = []
+    for d in dists:
+        for part in (d.left, d.right) if isinstance(d, Mixture) else (d,):
+            if isinstance(part, Uniform):
+                marks = [part.a, part.b, part.mean()]
+            elif isinstance(part, Exponential):
+                marks = [part.mean(), min(30.0 * part.mean(), sys.float_info.max)]
+            else:
+                marks = part.values.tolist()
+            tops.append(max(marks))
+            for v in marks:
+                points += [v, math.nextafter(v, -math.inf), math.nextafter(v, math.inf)]
+    top = max(tops)
+    points += [math.nextafter(top, math.inf), top + 1.0, min(2.0 * top, sys.float_info.max)]
+    return points
+
+
+def assert_same_bits(packed: np.ndarray, scalar: list[float], r: float) -> None:
+    reference = np.array(scalar, dtype=float)
+    assert packed.dtype == np.float64 and packed.shape == reference.shape
+    assert np.array_equal(packed.view(np.uint64), reference.view(np.uint64)), (r, packed, scalar)
+
+
+@SETTINGS
+@given(st.lists(VARIABLES, min_size=1, max_size=8),
+       st.floats(allow_nan=False, allow_infinity=False))
+@example([Uniform(0.0, 1e308), Uniform(0.0, 1.7e308)], 5e307)
+@example([Uniform(0.0, 1e-200), Uniform(0.0, 2e-200), DiscreteFinite([(-0.0, 1.0)])], 0.0)
+@example([DiscreteFinite([(1e308, 1.0)]), DiscreteFinite([(1.5e308, 1.0)]),
+          Exponential(1e-308)], 1e308)
+def test_packed_oracles_equal_the_scalar_methods(dists, extra):
+    packed = _Packed(dists)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for r in probe_points(dists) + [extra]:
+            assert_same_bits(packed.g_value(r), [d.g_value(r) for d in dists], r)
+            assert_same_bits(packed.survival(r), [d.survival(r) for d in dists], r)
+
+
+def valid_instance(dists) -> bool:
+    """A positive largest mean and a finite mean sum."""
+    try:
+        return max(d.mean() for d in dists) > 0.0 and math.fsum(d.mean() for d in dists) < math.inf
+    except OverflowError:
+        return False
+
+
+def reference_tie_class(inst: Instance, r: float, tol: float) -> TieClass:
+    """The tie class by a Python sort of the scalar G values and two walks."""
+    gs = [d.g_value(r) for d in inst.dists]
+    order = sorted(range(inst.n), key=lambda i: (-gs[i], i))
+    pivot = gs[order[inst.k - 1]]
+    start = inst.k - 1
+    while start > 0 and abs(gs[order[start - 1]] - pivot) <= tol * inst.mu_max:
+        start -= 1
+    end = inst.k
+    while end < inst.n and abs(gs[order[end]] - pivot) <= tol * inst.mu_max:
+        end += 1
+    return TieClass(prefix=tuple(order[:start]), tied=tuple(order[start:end]),
+                    slots=inst.k - start)
+
+
+@SETTINGS
+@given(st.lists(VARIABLES, min_size=1, max_size=10).filter(valid_instance), st.data())
+def test_envelope_tie_classes_and_rho_equal_the_scalar_forms(dists, data):
+    inst = Instance(dists, data.draw(st.integers(1, len(dists))))
+    # The envelope's domain is r >= 0, where the mean sum bounds every sum.
+    r = data.draw(st.sampled_from([r for r in probe_points(dists) if r >= 0.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        gs = [d.g_value(r) for d in dists]
+        assert_same_bits(g_values(inst, r), gs, r)
+        top_k = sorted(gs, reverse=True)[: inst.k]
+        assert h_max(inst, r).hex() == (r + math.fsum(top_k)).hex()
+        for tol in (TIE_TOL, CONT_TIE_TOL):
+            assert tie_class_at(inst, r, tol=tol) == reference_tie_class(inst, r, tol)
+        members = [i for i in range(inst.n) if data.draw(st.booleans())]
+        if sum(dists[i].mean() for i in members) > 0.0:
+            assert rho(inst, members).hex() == scalar_rho(inst, members).hex()
+
+
+def scalar_rho(inst: Instance, members: list[int]) -> float:
+    """rho's bisection over the scalar g_value of each member."""
+    dists = [inst.dists[i] for i in members]
+    mu_sum = math.fsum(d.mean() for d in dists)
+    lo, hi = 0.0, mu_sum
+    while hi - lo > RHO_TOL_SCALE * mu_sum:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if math.fsum(d.g_value(mid) for d in dists) > mid:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+# Recomputes envelopes, G values and both tie classes on seeded instances and
+# prints them as JSON: hex floats and index tuples.
+CHILD = """
+import json, sys
+import numpy as np
+from numpy._core._multiarray_umath import __cpu_features__
+from probemax.gap2 import TIE_TOL, tie_class_at
+from probemax.gap_continuous import CONT_TIE_TOL
+from probemax.instance_io import gen_instance
+from probemax.minmax import g_values, h_max
+
+out = {"x86_v4": bool(__cpu_features__.get("X86_V4"))}
+for family in ("mixed", "discrete"):
+    inst = gen_instance(3000, 300, family, 11)
+    for j in range(12):
+        r = inst.mu_max * j / 8.0
+        out[f"{family} {j}"] = [
+            h_max(inst, r).hex(),
+            g_values(inst, r).tobytes().hex(),
+            [[list(tc.prefix), list(tc.tied), tc.slots]
+             for tc in (tie_class_at(inst, r, tol=TIE_TOL),
+                        tie_class_at(inst, r, tol=CONT_TIE_TOL))],
+        ]
+json.dump(out, sys.stdout)
+"""
+
+NO_AVX512 = "AVX512_SPR AVX512_ICL X86_V4"
+
+
+def run_child(extra_env: dict) -> dict:
+    env = {**os.environ, **extra_env,
+           "PYTHONPATH": os.pathsep.join(filter(None, [
+               str(Path(probemax.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", CHILD], env=env, capture_output=True,
+                          text=True, timeout=300, check=True)
+    return json.loads(done.stdout)
+
+
+def has_x86_v4() -> bool:
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:
+        return False
+    return bool(__cpu_features__.get("X86_V4"))
+
+
+@pytest.mark.skipif(not has_x86_v4(), reason="host has no X86_V4 (AVX-512) dispatch to turn off")
+def test_envelopes_and_tie_classes_do_not_depend_on_simd_dispatch():
+    with_avx512 = run_child({})
+    without = run_child({"NPY_DISABLE_CPU_FEATURES": NO_AVX512})
+    assert with_avx512.pop("x86_v4") and not without.pop("x86_v4")
+    assert with_avx512 == without
