@@ -45,12 +45,23 @@ def _render_set(indices) -> str:
 
 
 def _parse_indices(spec: str, inst: Instance) -> tuple[int, ...]:
+    """The sorted 0-based subset that 1-based `--indices` names.
+
+    An error names the index as the user typed it.
+    """
     try:
         raw = [int(tok) for tok in spec.split(",") if tok.strip()]
     except ValueError:
         raise ValidationError(f"--indices {spec!r}: expected comma-separated integers")
     if not raw:
         raise ValidationError("--indices is empty")
+    seen = set()
+    for i in raw:
+        if not 1 <= i <= inst.n:
+            raise ValidationError(f"--indices {spec!r}: index {i} outside [1, {inst.n}]")
+        if i in seen:
+            raise ValidationError(f"--indices {spec!r}: index {i} repeated")
+        seen.add(i)
     return inst.subset([i - 1 for i in raw])
 
 

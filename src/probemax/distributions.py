@@ -17,8 +17,6 @@ from __future__ import annotations
 import math
 import sys
 from abc import ABC, abstractmethod
-from bisect import bisect_left
-from itertools import accumulate, chain
 
 import numpy as np
 
@@ -34,9 +32,6 @@ _COUNT_DRAW_MAX_ATOMS = 128
 # Rounding in a plain sum of m probabilities is at most (m - 1) * 2**-53 of
 # their total; at 2048 atoms that is under PROB_SUM_TOL / 4.
 _PLAIN_SUM_MAX_ATOMS = 2048
-# Fewest rows whose suffix sums numpy computes: it costs about 15 us per
-# distinct row length, where accumulate in Python costs about 1.5 us per row.
-_NUMPY_SUMS_MIN_ROWS = 64
 
 
 class Distribution(ABC):
@@ -112,22 +107,21 @@ class DiscreteFinite(Distribution):
     def mean(self) -> float:
         return float(np.dot(self.values, self.probs))
 
+    def _tail(self, r: float) -> list[float]:
+        """[P(X >= r), E[X * 1{X >= r}]]: the tail slots at the count of values < r."""
+        return self._tails[:, np.count_nonzero(self.values < r)].tolist()
+
     def survival(self, r: float) -> float:
-        idx = bisect_left(self._vals, r)
-        if idx == 0:
-            return 1.0  # full mass; suffix float sums may fall 1 ulp short
-        return self._tail_p[idx]
+        return self._tail(r)[0]
 
     def tail_moment_one(self, r: float) -> float:
-        return self._tail_pv[bisect_left(self._vals, r)]
+        return self._tail(r)[1]
 
     def g_value(self, r: float) -> float:
-        # tail_moment_one(r) - r * survival(r), with one shared lookup.
-        idx = bisect_left(self._vals, r)
-        s = 1.0 if idx == 0 else self._tail_p[idx]
-        if s <= 0.0:
-            return 0.0
-        return max(self._tail_pv[idx] - r * s, 0.0)
+        s, moment = self._tail(r)
+        g = moment - r * s
+        # A -0.0 stays; NaN, on the empty tail at r = inf or at r = NaN, is 0.0.
+        return g if g >= 0.0 else 0.0
 
     def draw(self, u):
         """Samples values[min(searchsorted(cumsum(probs), u, "right"), m - 1)].
@@ -219,34 +213,25 @@ def _sort_rows(values, probs, sizes):
     return values, probs, sizes
 
 
-def _suffix_sums(terms, sizes) -> list[list[float]]:
-    """Per row of each line of `terms`, the sums from each atom to the row's top.
+def _tail_sums(values, probs, sizes) -> np.ndarray:
+    """The suffix sums of P and P * v of every row, in two lines of one array.
 
-    Each sum adds one atom at a time from the top down, as accumulate over
-    the reversed row does, so every bit matches a build row by row.  Many
-    rows take one np.cumsum per group of rows of equal length, so no row is
-    padded to the longest; below _NUMPY_SUMS_MIN_ROWS rows, accumulate in
-    Python costs less than numpy's calls.
+    Row j's m_j + 1 sums start at starts[j] + j and end in 0.0.  Each adds
+    one atom at a time from the top down, as accumulate over the reversed
+    row does, so every bit matches a build row by row; one np.cumsum runs
+    per group of rows of equal length, so no row is padded to the longest.
+    The first P slot holds 1.0, the full mass, which a float sum may fall
+    1 ulp short of.
     """
-    if len(sizes) < _NUMPY_SUMS_MIN_ROWS:
-        sums = []
-        for line in terms.tolist():
-            out: list[float] = []
-            end = 0
-            for m in sizes.tolist():
-                start, end = end, end + m
-                out += reversed(list(accumulate(reversed(line[start:end]))))
-            sums.append(out)
-        return sums
+    terms = np.stack((probs, probs * values))
     starts = np.cumsum(sizes) - sizes
-    groups: dict[int, list[int]] = {}
-    for row, m in enumerate(sizes.tolist()):
-        groups.setdefault(m, []).append(row)
-    tails = np.empty_like(terms)
-    for m, rows in groups.items():
+    tails = np.zeros((2, len(values) + len(sizes)))
+    for m in set(sizes.tolist()):
+        rows = np.flatnonzero(sizes == m)
         top_down = starts[rows][:, None] + np.arange(m - 1, -1, -1)
-        tails[:, top_down] = np.cumsum(terms[:, top_down], axis=2)
-    return tails.tolist()
+        tails[:, top_down + rows[:, None]] = np.cumsum(terms[:, top_down], axis=2)
+    tails[0, starts + np.arange(len(sizes))] = 1.0
+    return tails
 
 
 def _discrete_rows(values, probs, sizes, out=None) -> list[DiscreteFinite]:
@@ -258,9 +243,11 @@ def _discrete_rows(values, probs, sizes, out=None) -> list[DiscreteFinite]:
     index as the error's `row` attribute.  `out` holds the objects to fill;
     by default new ones are made.
 
-    Every bit matches a build row by row (see _suffix_sums).  `values` and
-    `probs` of each variable are slices of the packed arrays, which may be
-    the arrays passed in: the caller must not change them afterwards.
+    The rows share one CSR layout, which _DiscreteBatch reads: each
+    variable's `values` and `probs` are slices of the packed arrays, which
+    may be the arrays passed in (the caller must not change them
+    afterwards), and its `_tails` a view of its m + 1 slots of both lines
+    of _tail_sums.
     """
     values = np.asarray(values, dtype=float)
     probs = np.asarray(probs, dtype=float)
@@ -271,8 +258,7 @@ def _discrete_rows(values, probs, sizes, out=None) -> list[DiscreteFinite]:
         exc.row = invalid[0]
         raise exc
     values, probs, sizes = _sort_rows(values, probs, sizes)
-    vals = values.tolist()
-    tp, tpv = _suffix_sums(np.stack((probs, probs * values)), sizes)
+    tails = _tail_sums(values, probs, sizes)
     built = []
     end = 0
     for row, m in enumerate(sizes.tolist()):
@@ -282,9 +268,7 @@ def _discrete_rows(values, probs, sizes, out=None) -> list[DiscreteFinite]:
         d = DiscreteFinite.__new__(DiscreteFinite) if out is None else out[row]
         d.values = values[start:end]
         d.probs = probs[start:end]
-        d._vals = tuple(vals[start:end])
-        d._tail_p = (*tp[start:end], 0.0)
-        d._tail_pv = (*tpv[start:end], 0.0)
+        d._tails = tails[:, start + row:end + row + 1]
         built.append(d)
     return built
 
@@ -556,22 +540,17 @@ class _DiscreteBatch(_Batch):
     """The atoms of many DiscreteFinite rows in one CSR layout.
 
     Row j's sorted values are `values[starts[j]:starts[j] + m_j]`, and its
-    m_j + 1 suffix sums (ending in 0.0) start at `heads[j]` of the two tail
-    arrays.  The count of row values < r is the scalar bisect_left index.
-    The first tail probability of each row is stored as 1.0, which the
-    scalar survival returns there in place of the sum.
+    m_j + 1 tail slots (see _tail_sums) start at `heads[j]` of the two
+    tail arrays.  The count of row values < r is the index the scalar
+    methods read.
     """
 
     def __init__(self, dists) -> None:
-        sizes = np.array([len(d._vals) for d in dists], dtype=np.intp)
+        sizes = np.array([len(d.values) for d in dists], dtype=np.intp)
         self._starts = np.cumsum(sizes) - sizes
         self._heads = self._starts + np.arange(len(sizes))
-        self._values = np.fromiter(chain.from_iterable(d._vals for d in dists), dtype=float)
-        self._tail_p = np.fromiter(chain.from_iterable(d._tail_p for d in dists), dtype=float)
-        self._tail_p[self._heads] = 1.0
-        self._tail_pv = np.fromiter(
-            chain.from_iterable(d._tail_pv for d in dists), dtype=float
-        )
+        self._values = np.concatenate([d.values for d in dists])
+        self._tail_p, self._tail_pv = np.concatenate([d._tails for d in dists], axis=1)
 
     def _index(self, r: float) -> np.ndarray:
         idx = np.add.reduceat(self._values < r, self._starts, dtype=np.intp)
@@ -583,9 +562,7 @@ class _DiscreteBatch(_Batch):
         s = self._tail_p[idx]
         g = self._tail_pv[idx]
         g -= r * s
-        # The scalar max(g, 0.0), and its 0.0 on an empty tail, where g is
-        # NaN at r = inf; a -0.0 stays.
-        g[~(g >= 0.0)] = 0.0
+        g[~(g >= 0.0)] = 0.0  # as in the scalar form
         return g
 
     def survival(self, r: float) -> np.ndarray:

@@ -277,6 +277,16 @@ class TestCommands:
     def test_bad_indices(self, uniform_file, capsys):
         code, _, err = run_cli(["eval", uniform_file, "--indices", "1,9"], capsys)
         assert code == 1
+        assert err == "error: --indices '1,9': index 9 outside [1, 2]\n"
+
+    @pytest.mark.parametrize("spec, err", [
+        ("1,1", "error: --indices '1,1': index 1 repeated\n"),
+        ("2, 1,2", "error: --indices '2, 1,2': index 2 repeated\n"),
+        ("0", "error: --indices '0': index 0 outside [1, 2]\n"),
+        ("1,1,-3", "error: --indices '1,1,-3': index 1 repeated\n"),
+    ])
+    def test_indices_errors_name_the_typed_number(self, uniform_file, capsys, spec, err):
+        assert run_cli(["eval", uniform_file, "--indices", spec], capsys) == (1, "", err)
 
     def test_gen_round_trip_via_files(self, tmp_path, capsys):
         out_path = tmp_path / "gen.inst"

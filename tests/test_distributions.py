@@ -12,6 +12,7 @@ from scipy import integrate
 
 from probemax import DiscreteFinite, Exponential, Uniform, ValidationError, point_mass
 from probemax.distributions import _COUNT_DRAW_MAX_ATOMS, Mixture
+from test_packed import NO_AVX512, has_x86_v4, run_child
 
 ATOL = 1e-12
 
@@ -111,6 +112,49 @@ class TestGValue:
 def philox_draws(d, trials, seed):
     """Samples of d from a Philox stream keyed by the seed, one uniform each."""
     return d.draw(np.random.Generator(np.random.Philox(key=seed)).random(trials))
+
+
+#: Rates of the Exponential.draw ulp check, from a thousandth to a thousand.
+ULP_RATES = (1e-3, 0.2, 1.0, 1.7, 3.0, 1e3)
+#: README's bound on Exponential.draw: its numpy log1p may round differently
+#: from math.log1p, depending on the SIMD code numpy dispatches to.
+DRAW_ULPS = 2
+
+
+def draw_ulps(count: int = 100_000, seed: int = 2024) -> int:
+    """The most ulps Exponential.draw lies from -math.log1p(-u) / rate.
+
+    Over `count` Philox uniforms per rate in ULP_RATES; every sample is
+    non-negative, so the distance is the difference of the bit patterns.
+    """
+    gen = np.random.Generator(np.random.Philox(key=seed))
+    worst = 0
+    for rate in ULP_RATES:
+        u = gen.random(count)
+        got = Exponential(rate).draw(u)
+        ref = np.array([-math.log1p(-x) / rate for x in u.tolist()])
+        worst = max(worst, int(np.abs(got.view(np.int64) - ref.view(np.int64)).max()))
+    return worst
+
+
+DRAW_CHILD = """
+import json, sys
+from numpy._core._multiarray_umath import __cpu_features__
+from test_distributions import draw_ulps
+
+json.dump({"x86_v4": bool(__cpu_features__.get("X86_V4")), "ulps": draw_ulps()}, sys.stdout)
+"""
+
+
+def test_exponential_draw_is_within_its_ulp_bound():
+    assert draw_ulps() <= DRAW_ULPS
+
+
+@pytest.mark.skipif(not has_x86_v4(), reason="host has no X86_V4 (AVX-512) dispatch to turn off")
+def test_exponential_draw_is_within_its_ulp_bound_without_avx512():
+    child = run_child({"NPY_DISABLE_CPU_FEATURES": NO_AVX512}, DRAW_CHILD)
+    assert not child["x86_v4"]
+    assert child["ulps"] <= DRAW_ULPS
 
 
 class TestSampling:

@@ -1,11 +1,12 @@
 """Property tests: the fast paths equal their reference forms bit for bit.
 
 ``DiscreteFinite`` answers ``survival``, ``tail_moment_one`` and ``g_value``
-with one ``bisect`` over suffix sums held as Python floats; the reference
-kept here is the numpy form (``np.searchsorted`` over ``np.cumsum`` suffix
-arrays).  The tie class and ``TieClass.fill`` use a stable numpy argsort of
-the negated keys, and the envelope takes its k largest G values with
-``np.partition``; the reference is a sort by the explicit ``(-g, i)`` key.
+by indexing its slots of the batch's suffix-sum arrays at the count of
+values below r; the reference kept here builds its own arrays per variable
+(``np.searchsorted`` over ``np.cumsum`` suffix sums).  The tie class and
+``TieClass.fill`` use a stable numpy argsort of the negated keys, and the
+envelope takes its k largest G values with ``np.partition``; the reference
+is a sort by the explicit ``(-g, i)`` key.
 The exact oracles run a DP keyed by (best value, unprobed set) with cached
 last-probe values, and score blocks of subsets on the block's merged grid;
 the references are the DP keyed by (budget, best value, unprobed set) and

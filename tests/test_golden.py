@@ -6,8 +6,9 @@ steps; the continuous pipeline's inspection order, rewards and ``alpha``;
 the five ``evaluate`` statistics (of the ``gap2`` policy for discrete
 instances, of the continuous policy otherwise); and the exact oracles for
 discrete instances with n <= 11.  Floats are stored as ``float.hex``, so a change in
-any last bit fails.  A change that is meant to move outputs regenerates the
-snapshot with
+any last bit fails, and the first ten seeds of each family are rerun in a
+child process with AVX-512 dispatch off.  A change that is meant to move
+outputs regenerates the snapshot with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -27,6 +28,7 @@ from probemax import (
     solve_continuous,
     static_optimum_enum,
 )
+from test_packed import NO_AVX512, has_x86_v4, run_child
 
 SNAPSHOT = Path(__file__).parent / "data" / "golden.json"
 
@@ -94,6 +96,30 @@ def test_matches_snapshot(snapshot, family, seed, n_max):
 
 def test_snapshot_covers_exactly_the_cases(snapshot):
     assert sorted(snapshot) == sorted(_key(f, s) for f, s, _ in CASES)
+
+
+# Recomputes the records of the first ten seeds of each family as JSON.
+CHILD = """
+import json, sys
+from numpy._core._multiarray_umath import __cpu_features__
+from test_golden import CASES, _key, golden_record
+
+records = {_key(f, s): golden_record(f, s, n) for f, s, n in CASES if s < 10}
+json.dump({"x86_v4": bool(__cpu_features__.get("X86_V4")), "records": records}, sys.stdout)
+"""
+
+
+@pytest.mark.skipif(not has_x86_v4(), reason="host has no X86_V4 (AVX-512) dispatch to turn off")
+def test_snapshot_slice_does_not_depend_on_simd_dispatch(snapshot):
+    """The snapshot holds with AVX-512 dispatch off, in a child process.
+
+    The slice runs every pipeline, the scalar discrete oracles of evaluate
+    and the exact oracles included.
+    """
+    child = run_child({"NPY_DISABLE_CPU_FEATURES": NO_AVX512}, CHILD)
+    assert not child["x86_v4"]
+    assert len(child["records"]) == 40
+    assert child["records"] == {key: snapshot[key] for key in child["records"]}
 
 
 if __name__ == "__main__":

@@ -20,6 +20,7 @@ import os
 import subprocess
 import sys
 import warnings
+from bisect import bisect_left
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +33,7 @@ from probemax import DiscreteFinite, Exponential, Instance, Uniform
 from probemax.distributions import Mixture, _Packed
 from probemax.gap2 import TIE_TOL, TieClass, tie_class_at
 from probemax.gap_continuous import CONT_TIE_TOL
+from probemax.instance_io import gen_instance, parse_instance_text
 from probemax.minmax import RHO_TOL_SCALE, g_values, h_max, rho
 
 SETTINGS = settings(max_examples=300, deadline=None)
@@ -174,6 +176,47 @@ def scalar_rho(inst: Instance, members: list[int]) -> float:
     return 0.5 * (lo + hi)
 
 
+#: A file whose discrete rows have one to five atoms, repeated values, -0.0
+#: and the float edges, with a uniform and an exponential line between them.
+SHARED_TEXT = """k 3
+dist discrete values 0 1 2.5 probs 0.25 0.5 0.25
+dist uniform a 0 b 2
+dist discrete values -0.0 probs 1
+dist discrete values 3 1 3 0 probs 0.125 0.25 0.5 0.125
+dist discrete values 1e-300 1e300 probs 0.5 0.5
+dist exponential rate 0.5
+dist discrete values 2.5 0.5 1 7 0 probs 0.2 0.2 0.2 0.2 0.2
+dist discrete values 1.5e308 probs 1
+"""
+
+
+@pytest.mark.parametrize("inst", [
+    parse_instance_text(SHARED_TEXT),
+    gen_instance(60, 6, "discrete", 3),
+], ids=["parsed", "generated"])
+def test_rows_of_one_batch_give_the_scalar_bits(inst):
+    """Variables built in one batch hold views of one array, which packing copies.
+
+    Both read the same slots: at NaN, at both zeros, at and beside every
+    atom, the packed G and survival equal the scalar methods bit for bit,
+    and so does rho of a subset.  The scalar slot is the one bisect_left
+    finds among the values.
+    """
+    discretes = [d for d in inst.dists if isinstance(d, DiscreteFinite)]
+    assert len({id(d._tails.base) for d in discretes}) == 1
+    packed = _Packed(inst.dists)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for r in [math.nan, 0.0, -0.0] + probe_points(inst.dists):
+            assert_same_bits(packed.g_value(r), [d.g_value(r) for d in inst.dists], r)
+            assert_same_bits(packed.survival(r), [d.survival(r) for d in inst.dists], r)
+            for d in discretes:  # the slot is bisect_left's, NaN included
+                tail = d._tails[:, bisect_left(d.values.tolist(), r)].tolist()
+                assert [d.survival(r), d.tail_moment_one(r)] == tail
+        members = list(range(0, inst.n, 2))
+        assert rho(inst, members).hex() == scalar_rho(inst, members).hex()
+
+
 # Recomputes envelopes, G values and both tie classes on seeded instances and
 # prints them as JSON: hex floats and index tuples.
 CHILD = """
@@ -203,11 +246,13 @@ json.dump(out, sys.stdout)
 NO_AVX512 = "AVX512_SPR AVX512_ICL X86_V4"
 
 
-def run_child(extra_env: dict) -> dict:
+def run_child(extra_env: dict, code: str = CHILD) -> dict:
+    """The JSON that `code` prints in a child process; the tests import as modules."""
     env = {**os.environ, **extra_env,
            "PYTHONPATH": os.pathsep.join(filter(None, [
-               str(Path(probemax.__file__).parents[1]), os.environ.get("PYTHONPATH")]))}
-    done = subprocess.run([sys.executable, "-c", CHILD], env=env, capture_output=True,
+               str(Path(probemax.__file__).parents[1]), str(Path(__file__).parent),
+               os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=300, check=True)
     return json.loads(done.stdout)
 
