@@ -1,14 +1,17 @@
 """Line-oriented instance files and seeded random instance generation.
 
 Format: one `k <int>` line plus one `dist <kind> ...` line per variable, in
-order.  Kinds and their fields:
+order.  Each kind has exactly one layout:
 
-    dist discrete values <v1> <v2> ... probs <p1> <p2> ...
+    dist discrete values <v1> ... <vm> probs <p1> ... <pm>    (m >= 1)
     dist uniform a <a> b <b>
     dist exponential rate <rate>
 
-Blank lines and `#` comments are ignored.  Numbers are rendered with repr(),
-so emit -> parse round-trips every float exactly.
+A line whose fields are missing, repeated, reordered or extended is
+rejected with its kind's layout.  Lines end at `\\n`, `\\r\\n` or `\\r` only;
+within a line any whitespace separates tokens.  Blank lines and `#`
+comments are ignored.  Numbers are rendered with repr(), so emit -> parse
+round-trips every float exactly.
 
 Parsing is one pass over the lines plus one batch that checks and builds
 all discrete variables (see parse_instance_text); `gen_instance` builds its
@@ -34,60 +37,19 @@ from .minmax import Instance
 
 GEN_FAMILIES = ("discrete", "uniform", "exponential", "mixed")
 
+#: The one layout of each kind's fields, named by the error for any other.
+_LAYOUTS = {
+    "discrete": "values <v1> ... <vm> probs <p1> ... <pm>",
+    "uniform": "a <a> b <b>",
+    "exponential": "rate <rate>",
+}
+
 
 def _parse_float(token: str, field: str) -> float:
     try:
         return float(token)
     except ValueError:
         raise ValidationError(f"field {field!r}: not a number: {token!r}")
-
-
-def _parse_keyed_floats(tokens: list[str], keys: tuple[str, ...]) -> dict:
-    """Parse `key value [key value ...]` pairs, scalar or list-valued per key."""
-    out: dict[str, list[float]] = {}
-    current = None
-    for tok in tokens:
-        if tok in keys:
-            if tok in out:
-                raise ValidationError(f"field {tok!r} repeated")
-            current = tok
-            out[tok] = []
-        elif current is None:
-            raise ValidationError(f"expected one of {keys}, got {tok!r}")
-        else:
-            out[current].append(_parse_float(tok, current))
-    for key in keys:
-        if key not in out or not out[key]:
-            raise ValidationError(f"missing field {key!r}")
-    return out
-
-
-def _scalar(fields: dict, key: str) -> float:
-    values = fields[key]
-    if len(values) != 1:
-        raise ValidationError(f"field {key!r}: expected one number, got {len(values)}")
-    return values[0]
-
-
-def _parse_dist(tokens: list[str]) -> Distribution:
-    if not tokens:
-        raise ValidationError("field 'kind' missing after 'dist'")
-    kind, rest = tokens[0], tokens[1:]
-    if kind == "discrete":
-        fields = _parse_keyed_floats(rest, ("values", "probs"))
-        if len(fields["values"]) != len(fields["probs"]):
-            raise ValidationError(
-                f"field 'probs': expected {len(fields['values'])} entries, "
-                f"got {len(fields['probs'])}"
-            )
-        return DiscreteFinite(list(zip(fields["values"], fields["probs"])))
-    if kind == "uniform":
-        fields = _parse_keyed_floats(rest, ("a", "b"))
-        return Uniform(_scalar(fields, "a"), _scalar(fields, "b"))
-    if kind == "exponential":
-        fields = _parse_keyed_floats(rest, ("rate",))
-        return Exponential(_scalar(fields, "rate"))
-    raise ValidationError(f"field 'kind': unknown kind {kind!r}")
 
 
 def _parse_k(tokens: list[str]) -> int:
@@ -100,34 +62,16 @@ def _parse_k(tokens: list[str]) -> int:
     raise ValidationError("field 'k': expected one integer")
 
 
-def _discrete_size(tokens: list[str]) -> int | None:
-    """Atom count of a `dist discrete values ... probs ...` line with each key once.
-
-    On such a line only a bad number can be wrong.  None for any other
-    `dist discrete` line: `_parse_dist` parses it and reports its error.
-    """
-    m = (len(tokens) - 4) // 2
-    if (
-        m > 0
-        and len(tokens) % 2 == 0
-        and tokens[2] == "values"
-        and tokens[3 + m] == "probs"
-        and tokens.count("values") == 1
-        and tokens.count("probs") == 1
-    ):
-        return m
-    return None
-
-
 def parse_instance_text(text: str) -> Instance:
     """Parse an instance file, reporting the offending line and field.
 
-    Each line is tokenized and structure-checked once.  The numbers of the
-    discrete lines are converted in one float pass after the scan, and
-    their variables are checked and built in one batch.  The error raised is
-    the one the first bad line gives, as if lines were parsed one by one:
-    the scan stops at a structure error, and a bad number or atom on an
-    earlier discrete line wins over it.
+    Each line is tokenized once and checked against its kind's layout by
+    token position; uniform and exponential variables are built in the
+    scan.  The numbers of the discrete lines are converted in one float
+    pass after the scan, and their variables are checked and built in one
+    batch.  The error raised is the one the first bad line gives, as if
+    lines were parsed one by one: the scan stops at a structure error, and
+    a bad number or atom on an earlier discrete line wins over it.
     """
     k = None
     dists: list[Distribution | None] = []
@@ -137,7 +81,10 @@ def parse_instance_text(text: str) -> Instance:
     value_tokens: list[str] = []
     prob_tokens: list[str] = []
     error = None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    # Only \n, \r\n and \r end a line; str.splitlines would also split at
+    # \v, \f, \x1c-\x1e, \x85, \u2028 and \u2029, say inside a comment.
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    for line_no, raw in enumerate(text.split("\n"), start=1):
         tokens = raw.split("#", 1)[0].split()
         if not tokens:
             continue
@@ -148,19 +95,32 @@ def parse_instance_text(text: str) -> Instance:
                 k = _parse_k(tokens)
             elif tokens[0] != "dist":
                 raise ValidationError(f"expected 'k' or 'dist', got {tokens[0]!r}")
+            elif len(tokens) == 1:
+                raise ValidationError("field 'kind' missing after 'dist'")
+            elif tokens[1] not in _LAYOUTS:
+                raise ValidationError(f"field 'kind': unknown kind {tokens[1]!r}")
             elif (
-                len(tokens) < 2
-                or tokens[1] != "discrete"
-                or (m := _discrete_size(tokens)) is None
+                tokens[1] == "discrete"
+                and (m := (len(tokens) - 4) // 2) > 0
+                and len(tokens) % 2 == 0
+                and tokens[2] == "values"
+                and tokens[3 + m] == "probs"
             ):
-                dists.append(_parse_dist(tokens[1:]))
-            else:
                 value_tokens += tokens[3:3 + m]
                 prob_tokens += tokens[4 + m:]
                 slots.append(len(dists))
                 lines.append(line_no)
                 sizes.append(m)
                 dists.append(None)
+            elif (
+                tokens[1] == "uniform" and len(tokens) == 6
+                and tokens[2] == "a" and tokens[4] == "b"
+            ):
+                dists.append(Uniform(_parse_float(tokens[3], "a"), _parse_float(tokens[5], "b")))
+            elif tokens[1] == "exponential" and len(tokens) == 4 and tokens[2] == "rate":
+                dists.append(Exponential(_parse_float(tokens[3], "rate")))
+            else:
+                raise ValidationError(f"dist {tokens[1]}: expected {_LAYOUTS[tokens[1]]!r}")
         except ValidationError as exc:
             error = (line_no, exc)
             break

@@ -4,13 +4,16 @@
 numbers of every discrete line in one float pass and checks and builds
 those variables in one batch; ``DiscreteFinite(atoms)`` is a one-row call
 of the same batch.  The references kept here are the parser that converted
-and built one line at a time and the ``DiscreteFinite`` constructor that
-checked, merged and summed one variable at a time.  Both must raise the
-same error class and message on every text, and build the same bits on
-every valid one: the arrays, both lines of tail sums and ``mean()``.
+and built one line at a time, matching each line against the fixed layouts
+with no code of ``probemax.instance_io``, and the ``DiscreteFinite``
+constructor that checked, merged and summed one variable at a time.  Both
+must raise the same error class and message on every text, and build the
+same bits on every valid one: the arrays, both lines of tail sums and
+``mean()``.
 """
 
 import math
+import re
 import tracemalloc
 from itertools import accumulate
 
@@ -22,14 +25,8 @@ from hypothesis import strategies as st
 from probemax import DiscreteFinite, Exponential, Instance, ProbemaxError, Uniform
 from probemax.distributions import PROB_SUM_TOL
 from probemax.errors import ValidationError
-from probemax.instance_io import (
-    _parse_k,
-    _parse_keyed_floats,
-    _scalar,
-    gen_instance,
-    parse_instance_text,
-)
-from test_cli import FILE_LINES
+from probemax.instance_io import gen_instance, parse_instance_text
+from test_cli import FILE_LINES, LAYOUTS
 
 SETTINGS = settings(max_examples=300, deadline=None)
 
@@ -63,32 +60,48 @@ def reference_discrete(atoms) -> DiscreteFinite:
     return d
 
 
+def reference_float(token: str, field: str) -> float:
+    try:
+        return float(token)
+    except ValueError:
+        raise ValidationError(f"field {field!r}: not a number: {token!r}") from None
+
+
 def reference_parse_dist(tokens: list[str]):
-    if not tokens:
-        raise ValidationError("field 'kind' missing after 'dist'")
-    kind, rest = tokens[0], tokens[1:]
-    if kind == "discrete":
-        fields = _parse_keyed_floats(rest, ("values", "probs"))
-        if len(fields["values"]) != len(fields["probs"]):
-            raise ValidationError(
-                f"field 'probs': expected {len(fields['values'])} entries, "
-                f"got {len(fields['probs'])}"
-            )
-        return reference_discrete(list(zip(fields["values"], fields["probs"])))
-    if kind == "uniform":
-        fields = _parse_keyed_floats(rest, ("a", "b"))
-        return Uniform(_scalar(fields, "a"), _scalar(fields, "b"))
-    if kind == "exponential":
-        fields = _parse_keyed_floats(rest, ("rate",))
-        return Exponential(_scalar(fields, "rate"))
-    raise ValidationError(f"field 'kind': unknown kind {kind!r}")
+    """One `dist` line after its head, matched against the fixed layouts."""
+    match tokens:
+        case []:
+            raise ValidationError("field 'kind' missing after 'dist'")
+        case ["uniform", "a", a, "b", b]:
+            return Uniform(reference_float(a, "a"), reference_float(b, "b"))
+        case ["exponential", "rate", rate]:
+            return Exponential(reference_float(rate, "rate"))
+        case ["discrete", "values", *rest] if len(rest) >= 3 and len(rest) % 2:
+            m = len(rest) // 2
+            if rest[m] == "probs":
+                values = [reference_float(tok, "values") for tok in rest[:m]]
+                probs = [reference_float(tok, "probs") for tok in rest[m + 1:]]
+                return reference_discrete(list(zip(values, probs)))
+    if tokens[0] in LAYOUTS:
+        raise ValidationError(f"dist {tokens[0]}: expected {LAYOUTS[tokens[0]]!r}")
+    raise ValidationError(f"field 'kind': unknown kind {tokens[0]!r}")
+
+
+def reference_k(tokens: list[str]) -> int:
+    """One optional minus and decimal digits, as `int` reads them."""
+    if len(tokens) != 2 or not re.fullmatch(r"-?\d+", tokens[1]):
+        raise ValidationError("field 'k': expected one integer")
+    return int(tokens[1])
 
 
 def reference_parse(text: str) -> Instance:
-    """The parser that converted and built one line at a time."""
+    """The parser that converted and built one line at a time.
+
+    Lines end at LF, CR LF or CR; any other whitespace separates tokens.
+    """
     k = None
     dists = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(re.split(r"\r\n|\r|\n", text), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -97,7 +110,7 @@ def reference_parse(text: str) -> Instance:
             if tokens[0] == "k":
                 if k is not None:
                     raise ValidationError("field 'k' repeated")
-                k = _parse_k(tokens)
+                k = reference_k(tokens)
             elif tokens[0] == "dist":
                 dists.append(reference_parse_dist(tokens[1:]))
             else:
@@ -185,7 +198,8 @@ EARLY = ("dist discrete values x probs 1", "dist discrete values -1 probs 1",
          "dist discrete values 1 2 probs 1 x", "dist exponential rate 5e-324")
 LATE = ("dist uniform 0 b 1", "dist discrete values 1 probs", "dist", "var 1", "k 3",
         "dist discrete values 1 2 probs 1", "dist gaussian mu 0",
-        "dist discrete values 1 values 2 probs 1", "dist uniform a 2 b 1")
+        "dist discrete values 1 values 2 probs 1", "dist uniform a 2 b 1",
+        "dist uniform b 1 a 0", "dist exponential rate 1 2")
 
 
 @SETTINGS

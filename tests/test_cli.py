@@ -4,12 +4,21 @@ import argparse
 import csv
 import io
 import math
+from itertools import takewhile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from probemax import Instance, ProbemaxError, Uniform, ValidationError, point_mass
+from probemax import (
+    DiscreteFinite,
+    Exponential,
+    Instance,
+    ProbemaxError,
+    Uniform,
+    ValidationError,
+    point_mass,
+)
 from probemax import gap2 as gap2_mod
 from probemax.cli import BENCH_FAMILIES, main
 from probemax.instance_io import (
@@ -42,7 +51,38 @@ FILE_TOKENS = st.one_of(
     )),
     st.text(max_size=4),
 )
+
+#: The one layout of each kind, as the error for any other layout names it.
+LAYOUTS = {
+    "discrete": "values <v1> ... <vm> probs <p1> ... <pm>",
+    "uniform": "a <a> b <b>",
+    "exponential": "rate <rate>",
+}
+
+#: The fields of each kind in its one layout.
+LAYOUT_FIELDS = {
+    "discrete": (("values", "1", "2"), ("probs", "0.5", "0.5")),
+    "uniform": (("a", "0"), ("b", "1")),
+    "exponential": (("rate", "2"),),
+}
+
+
+@st.composite
+def layout_lines(draw) -> str:
+    """A `dist` line whose fields are reordered, renamed, repeated or extended."""
+    kind = draw(st.sampled_from(sorted(LAYOUT_FIELDS)))
+    fields = list(draw(st.permutations(LAYOUT_FIELDS[kind])))
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(fields) - 1))
+        fields[i] = (draw(st.sampled_from(("values", "probs", "a", "b", "rate", "c"))),
+                     *fields[i][1:])
+    fields += draw(st.lists(st.one_of(st.sampled_from(fields), st.just(("c", "3")),
+                                      st.just(("4",))), max_size=2))
+    return " ".join(["dist", kind, *(tok for field in fields for tok in field)])
+
+
 FILE_LINES = st.one_of(
+    layout_lines(),
     st.builds("k {}".format, FILE_TOKENS),
     st.builds(
         lambda head, rest: " ".join([head] + rest),
@@ -51,6 +91,29 @@ FILE_LINES = st.one_of(
         st.lists(FILE_TOKENS, max_size=6),
     ),
 )
+
+
+#: Floats at both ends of the range, both zeros included, in increasing order.
+EDGE_FLOATS = (-0.0, 0.0, 5e-324, 1e-300, 1.0, 1.7e308)
+#: Probability rows that sum to 1 within the tolerance, subnormal atoms included.
+EDGE_PROBS = ((1.0,), (0.5, 0.5), (5e-324, 1.0), (1e-300, 0.25, 0.75))
+#: Exponential rates from the smallest whose mean 1/rate is finite to the largest float.
+EDGE_RATES = (5.56268464626801e-309, 1e-300, 1.0, 1.7e308, 1.7976931348623157e308)
+
+
+@st.composite
+def edge_variables(draw):
+    """A variable of any file kind whose numbers sit at the float edges."""
+    kind = draw(st.sampled_from(("discrete", "uniform", "exponential")))
+    if kind == "discrete":
+        probs = draw(st.sampled_from(EDGE_PROBS))
+        values = draw(st.lists(st.sampled_from(EDGE_FLOATS), min_size=len(probs),
+                               max_size=len(probs)))
+        return DiscreteFinite(list(zip(values, probs)))
+    if kind == "uniform":
+        b = draw(st.sampled_from(EDGE_FLOATS[2:]))
+        return Uniform(draw(st.sampled_from([a for a in EDGE_FLOATS if a < b])), b)
+    return Exponential(draw(st.sampled_from(EDGE_RATES)))
 
 
 def run_cli(args, capsys):
@@ -74,6 +137,15 @@ class TestInstanceFiles:
             for family in ("discrete", "uniform", "exponential", "mixed"):
                 inst = gen_instance(4, 2, family, seed)
                 assert parse_instance_text(emit_instance(inst)) == inst
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(edge_variables(), min_size=1, max_size=6), st.integers(1, 6))
+    def test_round_trip_at_the_float_edges(self, dists, k):
+        assume(max(d.mean() for d in dists) > 0.0)
+        inst = Instance(dists, min(k, len(dists)))
+        text = emit_instance(inst)
+        assert parse_instance_text(text) == inst
+        assert emit_instance(parse_instance_text(text)) == text  # -0.0 keeps its sign
 
     def test_error_names_line_and_field(self):
         with pytest.raises(ValidationError, match="line 2.*rate"):
@@ -102,10 +174,39 @@ class TestInstanceFiles:
          ("dist exponential rate 1 2 3", "rate", 3)],
     )
     def test_scalar_field_takes_one_number(self, line, field, count):
-        with pytest.raises(
-            ValidationError, match=f"^line 2: field '{field}': expected one number, got {count}$"
-        ):
+        """`count` numbers after `field` break the kind's one layout."""
+        tokens = line.split()
+        after = tokens[tokens.index(field) + 1:]
+        assert len(list(takewhile(str.isdigit, after))) == count
+        with pytest.raises(ValidationError) as info:
             parse_instance_text(f"k 1\n{line}\n")
+        assert str(info.value) == f"line 2: dist {tokens[1]}: expected {LAYOUTS[tokens[1]]!r}"
+
+    @pytest.mark.parametrize("line", [
+        "dist uniform b 1 a 0", "dist uniform c 0 b 1", "dist uniform a 0 a 1",
+        "dist uniform a 0 a 1 b 2", "dist uniform a 0 b 1 c 2",
+        "dist exponential rate 1 rate 2", "dist exponential scale 1",
+        "dist discrete probs 1 values 1", "dist discrete probs 1 probs 1",
+        "dist discrete values 1 values 1", "dist discrete values 1 probs 1 values 1 probs 1",
+        "dist discrete values probs", "dist discrete values 1 2 probs 1",
+        "dist discrete values 1 probs 1 2",
+    ])
+    def test_each_kind_has_one_layout(self, line):
+        kind = line.split()[1]
+        with pytest.raises(ValidationError) as info:
+            parse_instance_text(f"k 1\ndist uniform a 0 b 1\n{line}\n")
+        assert str(info.value) == f"line 3: dist {kind}: expected {LAYOUTS[kind]!r}"
+
+    def test_only_newlines_end_a_line(self):
+        """A form feed or U+2028 in a comment does not end its line."""
+        with pytest.raises(ValidationError) as info:
+            parse_instance_text("k 1\n# a\fb\u2028c\x85d\ndist exponential rate x\r\n")
+        assert str(info.value) == "line 3: field 'rate': not a number: 'x'"
+        with pytest.raises(ValidationError) as info:
+            parse_instance_text("k 1\rdist uniform a 0 b 1\r\n\rk 2\n")
+        assert str(info.value) == "line 4: field 'k' repeated"
+        inst = parse_instance_text("k\f1\ndist\vuniform a\u20280 b\x851\n")
+        assert inst.dists == (Uniform(0, 1),)
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(FILE_LINES, max_size=6))

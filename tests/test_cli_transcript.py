@@ -41,6 +41,8 @@ EDGE = {
                       "dist discrete values 0.6 probs 1.0\n", "1,2"),
     "crlf": ("k 1\r\ndist uniform a 0 b 1\r\n\r\ndist exponential rate 2 # c\r\n", "2,1"),
     "empty": ("", "1"),
+    "comment-separators": ("k 1\n# note\u2028more\u2029\x85\v\f\x1c\x1d\x1e end\n"
+                           "dist uniform a 0 b 1\n", "1"),
     "bad-rate": ("k 1\ndist exponential rate oops\n", "1"),
     "k-dashes": ("k --2\ndist uniform a 0 b 1\n", "1"),
     "k-superscript": ("k ²\ndist uniform a 0 b 1\n", "1"),

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_discrete_instance
+from test_packed import NO_AVX512, has_x86_v4, run_child
 from probemax import (
     DiscreteFinite,
     Exponential,
@@ -224,6 +225,24 @@ PINNED_SIMULATIONS = {
 }
 
 
+def pinned_hex(key: tuple) -> tuple:
+    """float.hex of (mean_reward, mean_max, stderr) of one pinned simulation."""
+    name, trials, seed = key
+    entries, threshold = PINNED_POLICIES[name]
+    return tuple(float.hex(x) for x in simulate(ThresholdPolicy(entries, threshold), trials, seed))
+
+
+# Reruns every pinned simulation and prints its hex floats as JSON.
+PINNED_CHILD = """
+import json, sys
+from numpy._core._multiarray_umath import __cpu_features__
+from test_policy_eval import PINNED_SIMULATIONS, pinned_hex
+
+json.dump({"x86_v4": bool(__cpu_features__.get("X86_V4")),
+           "pinned": {repr(key): pinned_hex(key) for key in PINNED_SIMULATIONS}}, sys.stdout)
+"""
+
+
 class TestSimulate:
     def test_point_mass_exact(self):
         result = simulate(ThresholdPolicy([point_mass(1.0)], 0.5), trials=100, seed=0)
@@ -297,10 +316,16 @@ class TestSimulate:
     @pytest.mark.parametrize("key", sorted(PINNED_SIMULATIONS))
     def test_pinned_bits(self, key):
         # Samples and sums are fixed per seed, bit for bit, across versions.
-        name, trials, seed = key
-        entries, threshold = PINNED_POLICIES[name]
-        result = simulate(ThresholdPolicy(entries, threshold), trials, seed)
-        assert tuple(float.hex(x) for x in result) == PINNED_SIMULATIONS[key]
+        assert pinned_hex(key) == PINNED_SIMULATIONS[key]
+
+    @pytest.mark.skipif(not has_x86_v4(),
+                        reason="host has no X86_V4 (AVX-512) dispatch to turn off")
+    def test_pinned_bits_do_not_depend_on_simd_dispatch(self):
+        """Every pinned simulation, rerun in a child with AVX-512 dispatch off."""
+        child = run_child({"NPY_DISABLE_CPU_FEATURES": NO_AVX512}, PINNED_CHILD)
+        assert not child["x86_v4"]
+        assert child["pinned"] == {repr(key): list(bits)
+                                   for key, bits in PINNED_SIMULATIONS.items()}
 
     @pytest.mark.parametrize("seed", range(12))
     def test_agreement_random_policies(self, seed):
