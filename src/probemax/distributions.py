@@ -105,7 +105,7 @@ class DiscreteFinite(Distribution):
         )
 
     def mean(self) -> float:
-        return float(np.dot(self.values, self.probs))
+        return float(self._tails[1, 0])  # the top suffix sum of P * v
 
     def _tail(self, r: float) -> list[float]:
         """[P(X >= r), E[X * 1{X >= r}]]: the tail slots at the count of values < r."""

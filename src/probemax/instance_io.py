@@ -46,19 +46,19 @@ _LAYOUTS = {
 
 
 def _parse_float(token: str, field: str) -> float:
+    # float() also reads `1_0` and non-ASCII digits, which repr() never writes.
     try:
-        return float(token)
+        if token.isascii() and "_" not in token:
+            return float(token)
     except ValueError:
-        raise ValidationError(f"field {field!r}: not a number: {token!r}")
+        pass
+    raise ValidationError(f"field {field!r}: not a number: {token!r}")
 
 
 def _parse_k(tokens: list[str]) -> int:
-    # isdigit() admits strings int() rejects, such as "--2" and "²".
-    try:
-        if len(tokens) == 2 and tokens[1].lstrip("-").isdigit():
-            return int(tokens[1])
-    except ValueError:
-        pass
+    # isdigit() also admits non-ASCII digits, such as "²" and "١".
+    if len(tokens) == 2 and tokens[1].isascii() and tokens[1].removeprefix("-").isdigit():
+        return int(tokens[1])
     raise ValidationError("field 'k': expected one integer")
 
 
@@ -124,10 +124,14 @@ def parse_instance_text(text: str) -> Instance:
         except ValidationError as exc:
             error = (line_no, exc)
             break
+    numbers = "".join(value_tokens) + "".join(prob_tokens)
+    plain = numbers.isascii() and "_" not in numbers  # as _parse_float checks each token
     try:
         values = np.fromiter(map(float, value_tokens), float, len(value_tokens))
         probs = np.fromiter(map(float, prob_tokens), float, len(prob_tokens))
-    except ValueError:  # find the first line with a bad number; build the lines before it
+    except ValueError:
+        plain = False
+    if not plain:  # find the first line with a bad number; build the lines before it
         values, probs = [], []
         for row, (line_no, m) in enumerate(zip(lines, sizes)):
             start = len(values)
@@ -140,7 +144,7 @@ def parse_instance_text(text: str) -> Instance:
                 break
             values += row_values
             probs += row_probs
-    del value_tokens, prob_tokens  # the variables take their place in memory
+    del value_tokens, prob_tokens, numbers  # the variables take their place in memory
     if sizes:
         try:
             built = _discrete_rows(values, probs, sizes)
@@ -212,6 +216,9 @@ def gen_instance(n: int, k: int, family: str, seed: int) -> Instance:
     """
     if family not in GEN_FAMILIES:
         raise ValidationError(f"unknown family {family!r}; expected one of {GEN_FAMILIES}")
+    for name, value in (("n", n), ("seed", seed)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ValidationError(f"{name}={value!r} must be an integer")
     if seed < 0:
         raise ValidationError(f"seed {seed!r} must be non-negative")
     rng = np.random.default_rng(seed)

@@ -72,26 +72,29 @@ class Instance:
         return self._mu_max
 
     def subset(self, indices: Iterable[int]) -> tuple[int, ...]:
-        """Validate a variable subset and return it as a sorted tuple."""
-        indices = list(indices)
-        # The common case, distinct Python ints in range, is checked in
-        # numpy; the loop below names the first bad index.
-        if set(map(type, indices)) <= {int} and (
-            not indices or (min(indices) >= 0 and max(indices) < self.n)
-        ):
-            idx = np.sort(np.array(indices, dtype=np.intp))
-            if not (idx[1:] == idx[:-1]).any():
-                return tuple(idx.tolist())
-        idx = []
-        for i in indices:
-            if not isinstance(i, (int, np.integer)) or isinstance(i, bool):
-                raise ValidationError(f"index {i!r} is not an integer")
-            if not 0 <= i < self.n:
-                raise ValidationError(f"index {i!r} outside [0, {self.n})")
-            idx.append(int(i))
-        if len(set(idx)) != len(idx):
-            raise ValidationError(f"duplicate indices in subset {tuple(idx)!r}")
-        return tuple(sorted(idx))
+        return check_subset(indices, self.n)
+
+
+def check_subset(indices: Iterable[int], n: int) -> tuple[int, ...]:
+    """Validate a subset of distinct integer indices in [0, n); return it sorted."""
+    indices = list(indices)
+    # Distinct Python ints in range are checked in numpy; the loop names a bad index.
+    if set(map(type, indices)) <= {int} and (
+        not indices or (min(indices) >= 0 and max(indices) < n)
+    ):
+        idx = np.sort(np.array(indices, dtype=np.intp))
+        if not (idx[1:] == idx[:-1]).any():
+            return tuple(idx.tolist())
+    idx = []
+    for i in indices:
+        if not isinstance(i, (int, np.integer)) or isinstance(i, bool):
+            raise ValidationError(f"index {i!r} is not an integer")
+        if not 0 <= i < n:
+            raise ValidationError(f"index {i!r} outside [0, {n})")
+        idx.append(int(i))
+    if len(set(idx)) != len(idx):
+        raise ValidationError(f"duplicate indices in subset {tuple(idx)!r}")
+    return tuple(sorted(idx))
 
 
 @dataclass(frozen=True)

@@ -28,13 +28,11 @@ MAX_ENUM_SUBSETS = 100_000
 _BLOCK_CELLS = 1 << 16
 
 
-def _require_discrete(inst: Instance) -> list[DiscreteFinite]:
-    members = []
+def _require_discrete(inst: Instance) -> tuple[DiscreteFinite, ...]:
     for i, d in enumerate(inst.dists):
         if not isinstance(d, DiscreteFinite):
             raise ValidationError(f"variable {i} is not finite discrete")
-        members.append(d)
-    return members
+    return inst.dists
 
 
 def adaptive_optimum_dp(inst: Instance) -> float:

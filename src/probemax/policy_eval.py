@@ -38,6 +38,7 @@ import numpy as np
 
 from .distributions import DiscreteFinite, Distribution
 from .errors import ValidationError
+from .minmax import check_subset
 
 # Trials per simulation block.  The simulator holds a few arrays of this
 # length (512 KB each), allocated once, and the draws' temporaries, whatever
@@ -224,46 +225,36 @@ def expected_max_exact_discrete(
 
     Works on the merged support grid via P(M <= v) = prod_i P(X_i <= v).
     """
-    idx = sorted(set(subset))
-    members = []
+    idx = check_subset(subset, len(dists))
     for i in idx:
-        d = dists[i]
-        if not isinstance(d, DiscreteFinite):
+        if not isinstance(dists[i], DiscreteFinite):
             raise ValidationError(f"variable {i} is not finite discrete; exact E[max] unavailable")
-        members.append(d)
-    if not members:
+    if not idx:
         raise ValidationError("empty subset")
-    return _expected_maxima(members, np.arange(len(members))[np.newaxis])[0]
+    return _expected_maxima(dists, np.array([idx]))[0]
 
 
-def _expected_maxima(members: Sequence[DiscreteFinite], subsets: np.ndarray) -> list[float]:
+def _expected_maxima(dists: Sequence[DiscreteFinite], subsets: np.ndarray) -> list[float]:
     """Exact E[max] over each row of `subsets`, a 2-D array of ascending indices.
 
-    The CDF rows of the members one column of `subsets` names are built over
-    the grid of every value the rows use, as cumulative sums, then multiplied
-    into the rows' product in index order.  A grid point that is not a
-    member's atom adds 0.0 to its cumulative sum, so each row's product and
-    its differences equal, at the row's own support points, those a grid of
-    its members' values alone would give, and are 0.0 in between; one np.dot
-    over those points then gives its E[max].  Memory is a few arrays of the
-    size of `subsets` times the grid.
-
-    Only a one-term np.dot shows the sign of a zero grid value.  The grid
-    keeps the zero of the lowest-index member that has one, so a single row
-    gets exactly the bits of a grid of its own members; in a block, a row
-    whose only value is zero may get another row's sign.
+    The rows' CDFs are built on the grid of every value the block uses: each
+    variable's cumulative sums, multiplied into its rows' products in index
+    order.  A grid point outside a row's support adds 0.0, so the row's pmf
+    terms are 0.0 there and elsewhere equal those on its own grid; one
+    math.fsum, correctly rounded, then gives the bits the subset gets alone.
+    Memory is a few arrays of the size of `subsets` times the grid.
     """
-    used = sorted(set(subsets.ravel().tolist()))
-    grid = np.array(sorted({v for i in used for v in members[i].values.tolist()}))
+    used = set(subsets.ravel().tolist())
+    grid = np.array(sorted({v for i in used for v in dists[i].values.tolist()}))
     cdf = np.ones((len(subsets), grid.size))
-    support = np.zeros(cdf.shape, dtype=bool)
     for col in subsets.T:
         ids = sorted(set(col.tolist()))
         pmf = np.zeros((len(ids), grid.size))
         for row, i in enumerate(ids):
-            pmf[row, np.searchsorted(grid, members[i].values)] = members[i].probs
-        at = np.searchsorted(ids, col)
-        cdf *= np.cumsum(pmf, axis=1)[at]
-        support |= (pmf > 0.0)[at]
-    pmf = np.diff(cdf, axis=1, prepend=0.0)
-    return [float(np.dot(grid[keep], row[keep])) for row, keep in zip(pmf, support)]
+            pmf[row, np.searchsorted(grid, dists[i].values)] = dists[i].probs
+        cdf *= np.cumsum(pmf, axis=1)[np.searchsorted(ids, col)]
+    terms = np.diff(cdf, axis=1, prepend=0.0) * grid
+    try:
+        return [math.fsum(row.tolist()) for row in terms]  # one row's floats at a time
+    except OverflowError:
+        raise ValidationError("exact E[max] overflows the floating-point range") from None

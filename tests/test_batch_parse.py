@@ -61,10 +61,13 @@ def reference_discrete(atoms) -> DiscreteFinite:
 
 
 def reference_float(token: str, field: str) -> float:
+    """A token of printable ASCII other than `_` that `float` reads."""
     try:
-        return float(token)
+        if re.fullmatch(r"[!-^`-~]+", token):
+            return float(token)
     except ValueError:
-        raise ValidationError(f"field {field!r}: not a number: {token!r}") from None
+        pass
+    raise ValidationError(f"field {field!r}: not a number: {token!r}")
 
 
 def reference_parse_dist(tokens: list[str]):
@@ -88,8 +91,8 @@ def reference_parse_dist(tokens: list[str]):
 
 
 def reference_k(tokens: list[str]) -> int:
-    """One optional minus and decimal digits, as `int` reads them."""
-    if len(tokens) != 2 or not re.fullmatch(r"-?\d+", tokens[1]):
+    """One optional minus and ASCII decimal digits, as `int` reads them."""
+    if len(tokens) != 2 or not re.fullmatch(r"-?[0-9]+", tokens[1]):
         raise ValidationError("field 'k': expected one integer")
     return int(tokens[1])
 
@@ -160,7 +163,7 @@ def assert_same_parse(text: str):
 #: Number tokens, good and bad, that make every check of a discrete line fire.
 NUMBERS = st.sampled_from((
     "0", "-0.0", "0.25", "0.5", "0.75", "1", "1.0", "2", "1e-300", "1e300", "5e-324",
-    "-1", "1.5", "nan", "inf", "x", "1_0", "١", "values", "probs",
+    "-1", "1.5", "nan", "inf", "x", "1_0", "١", "١٢", "１", "values", "probs",
 ))
 #: Probability lists that sum to 1, so many discrete lines are valid.
 PARTITIONS = st.sampled_from((
@@ -195,7 +198,8 @@ VALID = ("dist uniform a 0 b 1", "dist exponential rate 2",
 EARLY = ("dist discrete values x probs 1", "dist discrete values -1 probs 1",
          "dist discrete values 1 2 probs 0.5 0.4", "dist discrete values 1 probs 1.5",
          "dist discrete values inf probs 1", "dist discrete values 1 probs nan",
-         "dist discrete values 1 2 probs 1 x", "dist exponential rate 5e-324")
+         "dist discrete values 1 2 probs 1 x", "dist exponential rate 5e-324",
+         "dist discrete values 1_0 probs 1", "dist discrete values 1 probs \uff11")
 LATE = ("dist uniform 0 b 1", "dist discrete values 1 probs", "dist", "var 1", "k 3",
         "dist discrete values 1 2 probs 1", "dist gaussian mu 0",
         "dist discrete values 1 values 2 probs 1", "dist uniform a 2 b 1",

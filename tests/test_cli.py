@@ -47,7 +47,7 @@ FILE_TOKENS = st.one_of(
     st.sampled_from((
         "k", "dist", "discrete", "uniform", "exponential", "values", "probs", "a",
         "b", "rate", "#", "0", "-0", "1", "2", "0.5", "-1", "1e308", "1e309", "5e-324",
-        "nan", "inf", "-inf", "1_0", "0x10", "--2", "\u00b2", "\u0661",
+        "nan", "inf", "-inf", "1_0", "0x10", "--2", "\u00b2", "\u0661", "\uff11",
     )),
     st.text(max_size=4),
 )

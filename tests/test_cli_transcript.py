@@ -47,6 +47,10 @@ EDGE = {
     "k-dashes": ("k --2\ndist uniform a 0 b 1\n", "1"),
     "k-superscript": ("k ²\ndist uniform a 0 b 1\n", "1"),
     "k-float": ("k 1.0\ndist uniform a 0 b 1\n", "1"),
+    "k-arabic-indic": ("k \u0661\ndist uniform a 0 b 1\n", "1"),
+    "rate-underscore": ("k 1\ndist exponential rate 1_0\n", "1"),
+    "values-arabic-indic": ("k 1\ndist discrete values \u0661\u0662 probs 1\n", "1"),
+    "b-fullwidth": ("k 1\ndist uniform a 0 b \uff11\n", "1"),
     "k-missing": ("dist uniform a 0 b 1\n", "1"),
     "k-repeated": ("k 1\n\nk 1\ndist uniform a 0 b 1\n", "1"),
     "k-too-large": ("k 3\ndist uniform a 0 b 1\n", "1"),

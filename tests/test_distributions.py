@@ -12,7 +12,7 @@ from scipy import integrate
 
 from probemax import DiscreteFinite, Exponential, Uniform, ValidationError, point_mass
 from probemax.distributions import _COUNT_DRAW_MAX_ATOMS, Mixture
-from test_packed import NO_AVX512, has_x86_v4, run_child
+from test_packed import NO_AVX512, VARIABLES, has_x86_v4, run_child
 
 ATOL = 1e-12
 
@@ -440,6 +440,35 @@ class TestInvariants:
         for r in rng.uniform(-1, 12, 20):
             direct = math.fsum(p * (v - r) for v, p in atoms if v >= r)
             assert abs(d.g_value(r) - direct) <= ATOL
+
+
+def lowest(d) -> float:
+    """The lowest point of d's support (of both branches' for a Mixture)."""
+    if isinstance(d, Mixture):
+        return min(lowest(d.left), lowest(d.right))
+    if isinstance(d, DiscreteFinite):
+        return d.values[0].item()
+    return d.a if isinstance(d, Uniform) else 0.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(VARIABLES, st.floats(max_value=0.0, allow_nan=False))
+@example(DiscreteFinite([(3.8367755426188346, 0.375), (6.1538511148125385, 0.4166666666666667),
+                         (6.471895115742501, 0.20833333333333334)]), -1.0)
+@example(DiscreteFinite([(1.0, 0.9999999999999999)]), 0.0)
+def test_mean_is_the_tail_moment_below_the_support(d, shift):
+    """One mean: at every r at or below the lowest support point,
+    tail_moment_one(r) is mean() bit for bit, and g_value(r) is mean() - r
+    for every family but Mixture, whose g_value mixes its branches' values.
+
+    A discrete row whose probabilities sum to just under 1 has its mean
+    below its lowest atom; there g_value clamps mean() - r < 0 to 0.0.
+    """
+    low = lowest(d)
+    for r in [r for r in (low, low + shift, -0.0, 0.0) if r <= low]:
+        assert d.tail_moment_one(r).hex() == d.mean().hex()
+        if not isinstance(d, Mixture):
+            assert d.g_value(r).hex() == max(d.mean() - r, 0.0).hex()
 
 
 class TestUniformTinyScale:

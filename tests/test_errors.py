@@ -4,7 +4,9 @@ The parametrized test drives every raise site a caller's input reaches in
 the layer modules, plus the rejections no other test runs, and checks the
 class and the whole message.  The guard below reads the package source
 with `ast`, so a raise of a new ad-hoc class fails here instead of slipping
-past `except ValidationError`.
+past `except ValidationError`.  A second guard fails on any BLAS-backed
+numpy call in the package: OpenBLAS picks its kernel by CPU, so such a
+call's last bits differ from host to host.
 """
 
 import ast
@@ -20,6 +22,7 @@ from probemax import (
     adaptive_optimum_dp,
     emit_instance,
     expected_max_exact_discrete,
+    gen_instance,
     minimize_hmax,
     point_mass,
     rho,
@@ -46,6 +49,13 @@ HIERARCHY = {
 
 TWO_UNIFORM = Instance([Uniform(0, 1), Uniform(0, 1)], 2)
 COIN = DiscreteFinite([(0, 0.5), (1, 0.5)])
+#: Values a few ulps below the largest float, in two orders: both variables'
+#: means are finite, the E[max] of the pair is not.
+HUGE_VALUES = (1.7976931348623153e308, 1.7976931348623155e308, 1.7976931348623147e308,
+               1.7976931348623155e308, 1.7976931348623157e308)
+HUGE_PROBS = (0.038461538461538464, 0.38461538461538464, 0.07692307692307693,
+              0.15384615384615385, 0.34615384615384615)
+HUGE_PAIR = [DiscreteFinite(zip(v, HUGE_PROBS)) for v in (HUGE_VALUES, HUGE_VALUES[::-1])]
 
 #: site -> (call that rejects its input, class, whole message).
 SITES = {
@@ -103,6 +113,30 @@ SITES = {
     "policy_eval.expected_max_exact_discrete: empty subset": (
         lambda: expected_max_exact_discrete([COIN], []),
         ValidationError, "empty subset"),
+    "policy_eval.expected_max_exact_discrete: negative index": (
+        lambda: expected_max_exact_discrete([COIN, COIN], [-1]),
+        ValidationError, "index -1 outside [0, 2)"),
+    "policy_eval.expected_max_exact_discrete: index out of range": (
+        lambda: expected_max_exact_discrete([COIN, COIN], [5]),
+        ValidationError, "index 5 outside [0, 2)"),
+    "policy_eval.expected_max_exact_discrete: duplicate index": (
+        lambda: expected_max_exact_discrete([COIN, COIN], [0, 0]),
+        ValidationError, "duplicate indices in subset (0, 0)"),
+    "policy_eval.expected_max_exact_discrete: non-integer index": (
+        lambda: expected_max_exact_discrete([COIN, COIN], [1.5]),
+        ValidationError, "index 1.5 is not an integer"),
+    "policy_eval.expected_max_exact_discrete: overflow": (
+        lambda: expected_max_exact_discrete(HUGE_PAIR, [0, 1]),
+        ValidationError, "exact E[max] overflows the floating-point range"),
+    "instance_io.gen_instance: non-integer n": (
+        lambda: gen_instance(2.5, 1, "discrete", 0),
+        ValidationError, "n=2.5 must be an integer"),
+    "instance_io.gen_instance: float seed": (
+        lambda: gen_instance(2, 1, "discrete", 1.5),
+        ValidationError, "seed=1.5 must be an integer"),
+    "instance_io.gen_instance: string seed": (
+        lambda: gen_instance(2, 1, "discrete", "7"),
+        ValidationError, "seed='7' must be an integer"),
     "instance_io.emit_instance: mixture": (
         lambda: emit_instance(Instance([Mixture(0.5, Uniform(0, 1), Uniform(0, 2))], 1)),
         ValidationError,
@@ -163,6 +197,38 @@ def test_errors_module_defines_exactly_four_classes():
         for node in tree.body if isinstance(node, ast.ClassDef)
     }
     assert classes == {name: [base] for name, base in HIERARCHY.items()}
+
+
+#: numpy names whose calls go through BLAS, as `np.<name>` or an array method.
+BLAS_NAMES = {"dot", "matmul", "inner", "vdot", "einsum", "tensordot", "linalg"}
+
+
+def blas_uses(tree: ast.AST) -> list[tuple[int, str]]:
+    """(line, source) of every `@`, `@=` and use of a BLAS_NAMES attribute or import."""
+    found = []
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+            or isinstance(node, ast.Attribute) and node.attr in BLAS_NAMES
+            or isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy")
+            and any(alias.name in BLAS_NAMES for alias in node.names)
+        ):
+            found.append((node.lineno, ast.unparse(node)))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_modules_make_no_blas_call(path):
+    assert blas_uses(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_blas_guard_sees_every_form():
+    source = (
+        "a = np.dot(x, y)\nb = x @ y\nb @= y\nc = np.linalg.norm(x)\n"
+        "d = numpy.einsum('i,i', x, y)\ne = x.dot(y)\nfrom numpy import vdot\n"
+        "f = np.tensordot(x, y) + np.inner(x, y) + np.matmul(x, y)\ng = np.sum(x * y)\n"
+    )
+    assert [line for line, _ in blas_uses(ast.parse(source))] == [1, 2, 3, 4, 5, 6, 7, 8, 8, 8]
 
 
 def test_guard_sees_an_ad_hoc_class():

@@ -10,7 +10,7 @@ is a sort by the explicit ``(-g, i)`` key.
 The exact oracles run a DP keyed by (best value, unprobed set) with cached
 last-probe values, and score blocks of subsets on the block's merged grid;
 the references are the DP keyed by (budget, best value, unprobed set) and
-the E[max] of one subset on its own merged grid.
+the E[max] of one subset on its own merged grid, one ``math.fsum``.
 """
 
 import math
@@ -229,7 +229,7 @@ def reference_expected_max(dists, subset) -> float:
         np.add.at(member_cdf, np.searchsorted(grid, d.values), d.probs)
         cdf = cdf * np.cumsum(member_cdf)
     pmf = np.diff(np.concatenate([[0.0], cdf]))
-    return float(np.dot(grid, pmf))
+    return math.fsum((grid * pmf).tolist())
 
 
 def reference_static(inst: Instance) -> tuple[float, tuple[int, ...]]:
@@ -269,34 +269,53 @@ def test_adaptive_dp_matches_the_budget_keyed_dp(inst):
     assert bits(adaptive_optimum_dp(inst)) == bits(reference_dp(inst))
 
 
+def scored_enum(inst: Instance, cells: int):
+    """static_optimum_enum at `cells` per block, and each subset it scored with its score."""
+    scores = {}
+    score = oracles._expected_maxima
+
+    def record(members, subsets):
+        values = score(members, subsets)
+        scores.update(zip(map(tuple, subsets.tolist()), values))
+        return values
+
+    with mock.patch.object(oracles, "_BLOCK_CELLS", cells), \
+            mock.patch.object(oracles, "_expected_maxima", record):
+        return static_optimum_enum(inst), scores
+
+
 @SETTINGS
 @given(oracle_instances(max_atoms=12),
        st.one_of(st.integers(1, 256), st.just(oracles._BLOCK_CELLS)))
 @example(Instance([COIN] * 5, 2), 1)
 @example(Instance([point_mass(1.0)] * 4, 4), 64)
+@example(Instance([point_mass(-0.0), point_mass(0.0), point_mass(0.0), point_mass(1.0)], 2), 256)
 def test_static_enum_matches_the_per_subset_scan(inst, cells):
     # Few cells per block put the subsets in many blocks; the first witness
-    # of the best value must still win across block boundaries.  Grids of
-    # tens of points make np.dot's sum depend on which points it sees.
-    with mock.patch.object(oracles, "_BLOCK_CELLS", cells):
-        value, witness = static_optimum_enum(inst)
+    # of the best value must still win across block boundaries, and each
+    # subset gets the bits it gets when scored alone, whatever its block.
+    (value, witness), scores = scored_enum(inst, cells)
     ref_value, ref_witness = reference_static(inst)
     assert bits(value) == bits(ref_value)
     assert witness == ref_witness
+    assert len(scores) == math.comb(inst.n, inst.k)
+    for subset, score in scores.items():
+        assert bits(score) == bits(expected_max_exact_discrete(inst.dists, subset))
 
 
 @SETTINGS
 @given(st.lists(discrete(max_atoms=4, values=ORACLE_VALUES), min_size=1, max_size=6), st.data())
 def test_expected_max_matches_the_per_subset_grid(dists, data):
-    subset = data.draw(st.lists(st.integers(0, len(dists) - 1), min_size=1))
+    subset = data.draw(st.lists(st.integers(0, len(dists) - 1), min_size=1, unique=True))
     assert bits(expected_max_exact_discrete(dists, subset)) == bits(
         reference_expected_max(dists, subset))
 
 
 @pytest.mark.parametrize("values", [(-0.0,), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0, 0.0)])
-def test_expected_max_of_zeros_keeps_the_first_members_sign(values):
-    # A one-point grid is the one place where the sign of a zero shows.
-    dists = [point_mass(v) for v in values]
-    result = expected_max_exact_discrete(dists, range(len(dists)))
-    assert bits(result) == bits(reference_expected_max(dists, range(len(dists))))
-    assert bits(result) == bits(values[0])
+def test_expected_max_of_zeros_is_positive_zero(values):
+    # fsum of zeros is +0.0, whichever zero the grid keeps and in any block.
+    dists = [point_mass(v) for v in values] + [point_mass(1.0)]
+    subset = tuple(range(len(values)))
+    assert bits(expected_max_exact_discrete(dists, subset)) == bits(0.0)
+    for cells in (1, 2, 64):
+        assert bits(scored_enum(Instance(dists, len(values)), cells)[1][subset]) == bits(0.0)

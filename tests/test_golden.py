@@ -7,13 +7,17 @@ the five ``evaluate`` statistics (of the ``gap2`` policy for discrete
 instances, of the continuous policy otherwise); and the exact oracles for
 discrete instances with n <= 11.  Floats are stored as ``float.hex``, so a change in
 any last bit fails, and the first ten seeds of each family are rerun in a
-child process with AVX-512 dispatch off.  A change that is meant to move
-outputs regenerates the snapshot with
+child process with AVX-512 dispatch off and in one that runs another
+OpenBLAS kernel.  A change that is meant to move outputs regenerates the
+snapshot with
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import ctypes
 import json
+import os
+import platform
 from pathlib import Path
 
 import numpy as np
@@ -98,14 +102,30 @@ def test_snapshot_covers_exactly_the_cases(snapshot):
     assert sorted(snapshot) == sorted(_key(f, s) for f, s, _ in CASES)
 
 
+def openblas_corename() -> str | None:
+    """The OpenBLAS kernel numpy runs on an x86-64 host, or None.
+
+    None unless numpy loads the scipy-openblas library its wheel bundles,
+    whose DYNAMIC_ARCH build picks a kernel per CPU unless
+    OPENBLAS_CORETYPE names one.
+    """
+    libs = list((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas64_*.so"))
+    if platform.machine() != "x86_64" or len(libs) != 1:
+        return None
+    corename = ctypes.CDLL(str(libs[0])).scipy_openblas_get_corename64_
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
+
+
 # Recomputes the records of the first ten seeds of each family as JSON.
 CHILD = """
 import json, sys
 from numpy._core._multiarray_umath import __cpu_features__
-from test_golden import CASES, _key, golden_record
+from test_golden import CASES, _key, golden_record, openblas_corename
 
 records = {_key(f, s): golden_record(f, s, n) for f, s, n in CASES if s < 10}
-json.dump({"x86_v4": bool(__cpu_features__.get("X86_V4")), "records": records}, sys.stdout)
+json.dump({"x86_v4": bool(__cpu_features__.get("X86_V4")), "corename": openblas_corename(),
+           "records": records}, sys.stdout)
 """
 
 
@@ -118,6 +138,22 @@ def test_snapshot_slice_does_not_depend_on_simd_dispatch(snapshot):
     """
     child = run_child({"NPY_DISABLE_CPU_FEATURES": NO_AVX512}, CHILD)
     assert not child["x86_v4"]
+    assert len(child["records"]) == 40
+    assert child["records"] == {key: snapshot[key] for key in child["records"]}
+
+
+@pytest.mark.skipif(openblas_corename() is None,
+                    reason="numpy runs no scipy-openblas kernel on an x86-64 host")
+def test_snapshot_slice_does_not_depend_on_the_blas_kernel(snapshot):
+    """The snapshot holds under another OpenBLAS kernel, in a child process.
+
+    The child runs the Prescott kernel, or Haswell when this process
+    already runs Prescott.  The library makes no BLAS call; this checks
+    that none creeps in.
+    """
+    prescott = os.environ.get("OPENBLAS_CORETYPE", "").lower() == "prescott"
+    child = run_child({"OPENBLAS_CORETYPE": "Haswell" if prescott else "Prescott"}, CHILD)
+    assert child["corename"] != openblas_corename()
     assert len(child["records"]) == 40
     assert child["records"] == {key: snapshot[key] for key in child["records"]}
 
