@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import sys
 import time
 
@@ -220,7 +221,7 @@ def _bench_row(instance_id: int, family: str, inst: Instance, epsilon: float) ->
 def _summary_rows(rows: list[dict]) -> list[dict]:
     ratio_cols = [f for f in BENCH_FIELDS if f.startswith("ratio_")]
     out = []
-    for label, combine in (("min", min), ("mean", lambda xs: sum(xs) / len(xs))):
+    for label, combine in (("min", min), ("mean", lambda xs: math.fsum(xs) / len(xs))):
         summary: dict = {"instance_id": label}
         for col in ratio_cols:
             values = [row[col] for row in rows if col in row]

@@ -7,9 +7,9 @@ which maps one uniform to one sample.  All oracle values are closed-form; no
 quadrature is involved, so numerical error budgets downstream are dominated
 by search tolerances.
 
-Supported families: finite discrete, uniform, exponential, and a two-way
-mixture that nests at most one level deep (used for the fractional pair in
-the continuous construction).
+Supported families: finite discrete, uniform and exponential.  An
+`Instance` accepts exactly these three types, whose packed forms below
+evaluate a whole family at once.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import numpy as np
 from .errors import ValidationError
 
 PROB_SUM_TOL = 1e-12
-_BELOW_ONE = np.nextafter(1.0, 0.0)
 # Largest atom count DiscreteFinite.draw counts cuts for (its uint8 index
 # holds up to 255).  On 2^16 uniforms (2-vCPU Xeon, numpy 2.4) counting
 # costs 0.2-0.4 ms up to 32 atoms and about 1 ms at 128, against 0.5-2.4 ms
@@ -240,8 +239,9 @@ def _discrete_rows(values, probs, sizes, out=None) -> list[DiscreteFinite]:
     Row i holds the next sizes[i] entries of `values` and `probs`.  All rows
     are checked together by DiscreteFinite's rules; the first row it would
     reject raises ValidationError with the same message, and the row's
-    index as the error's `row` attribute.  `out` holds the objects to fill;
-    by default new ones are made.
+    index as the error's `row` attribute.  A row whose mean overflows is
+    rejected too, as Uniform and Exponential reject theirs.  `out` holds the
+    objects to fill; by default new ones are made.
 
     The rows share one CSR layout, which _DiscreteBatch reads: each
     variable's `values` and `probs` are slices of the packed arrays, which
@@ -253,12 +253,24 @@ def _discrete_rows(values, probs, sizes, out=None) -> list[DiscreteFinite]:
     probs = np.asarray(probs, dtype=float)
     sizes = np.asarray(sizes, dtype=np.intp)
     invalid = _first_invalid_row(values, probs, sizes)
+    # Only the rows before the first invalid one are sorted and summed; the
+    # first of them whose mean, its top P * v suffix sum, overflows is
+    # rejected instead.
+    rows = len(sizes) if invalid is None else invalid[0]
+    atoms = int(sizes[:rows].sum())
+    values, probs, sizes = _sort_rows(values[:atoms], probs[:atoms], sizes[:rows])
+    with np.errstate(over="ignore"):
+        tails = _tail_sums(values, probs, sizes)
+    ends = np.cumsum(sizes)
+    huge = np.flatnonzero(tails[1, ends - sizes + np.arange(rows)] == math.inf)
+    if huge.size:
+        row = int(huge[0])
+        top = values[ends[row] - 1].item()
+        invalid = (row, f"support values up to {top!r} are too large: their mean overflows")
     if invalid is not None:
         exc = ValidationError(invalid[1])
         exc.row = invalid[0]
         raise exc
-    values, probs, sizes = _sort_rows(values, probs, sizes)
-    tails = _tail_sums(values, probs, sizes)
     built = []
     end = 0
     for row, m in enumerate(sizes.tolist()):
@@ -388,99 +400,12 @@ class Exponential(Distribution):
         return x[()]  # a scalar for a 0-d u, as a plain ufunc call gives
 
 
-class Mixture(Distribution):
-    """Two-way mixture: X = L with probability weight, else R.
-
-    Children may not themselves be mixtures; one nesting level suffices for
-    the fractional-pair variable of the continuous construction.
-    """
-
-    def __init__(self, weight: float, left: Distribution, right: Distribution) -> None:
-        weight = float(weight)
-        if not 0.0 <= weight <= 1.0:
-            raise ValidationError(f"mixture weight {weight!r} must lie in [0, 1]")
-        if isinstance(left, Mixture) or isinstance(right, Mixture):
-            raise ValidationError("mixtures nest at most one level deep")
-        self.weight = weight
-        self.left = left
-        self.right = right
-        self.is_continuous = left.is_continuous and right.is_continuous
-
-    def __repr__(self) -> str:
-        return f"Mixture({self.weight!r}, {self.left!r}, {self.right!r})"
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Mixture)
-            and self.weight == other.weight
-            and self.left == other.left
-            and self.right == other.right
-        )
-
-    def mean(self) -> float:
-        return self.weight * self.left.mean() + (1.0 - self.weight) * self.right.mean()
-
-    def survival(self, r: float) -> float:
-        return (
-            self.weight * self.left.survival(r)
-            + (1.0 - self.weight) * self.right.survival(r)
-        )
-
-    def tail_moment_one(self, r: float) -> float:
-        return (
-            self.weight * self.left.tail_moment_one(r)
-            + (1.0 - self.weight) * self.right.tail_moment_one(r)
-        )
-
-    def g_value(self, r: float) -> float:
-        return (
-            self.weight * self.left.g_value(r)
-            + (1.0 - self.weight) * self.right.g_value(r)
-        )
-
-    def draw(self, u):
-        # u < weight picks the left branch; either part, rescaled to [0, 1),
-        # is again uniform and drives that branch.  The right part can round
-        # up to 1.0, where an Exponential draw is infinite.  Both branches
-        # draw every u, elementwise, and np.where keeps the picked one; the
-        # other may be out of range (even inf or NaN), so its warnings are
-        # muted.
-        w = self.weight
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            left = self.left.draw(u / w)
-            right = self.right.draw(np.minimum((u - w) / (1.0 - w), _BELOW_ONE))
-        return np.where(u < w, left, right)
-
-
 def point_mass(value: float) -> DiscreteFinite:
     """Degenerate distribution putting all mass on one value."""
     return DiscreteFinite([(value, 1.0)])
 
 
-class _Batch:
-    """G_i(r) and P(X_i >= r) of a list of variables as float64 arrays.
-
-    This base form loops the scalar methods, which covers Mixture and any
-    other subclass.  The family forms below evaluate one numpy pass per
-    call and equal the scalar methods bit for bit: they repeat each scalar
-    expression elementwise, and compute exp with math.exp, whose bits,
-    unlike np.exp's, do not depend on the host's SIMD dispatch; this holds
-    for every r that is not NaN.  Batches are called through _Packed, which
-    mutes numpy's overflow and invalid warnings, as Python's float
-    arithmetic is silent on both.
-    """
-
-    def __init__(self, dists) -> None:
-        self._dists = tuple(dists)
-
-    def g_value(self, r: float) -> np.ndarray:
-        return np.array([d.g_value(r) for d in self._dists], dtype=float)
-
-    def survival(self, r: float) -> np.ndarray:
-        return np.array([d.survival(r) for d in self._dists], dtype=float)
-
-
-class _UniformBatch(_Batch):
+class _UniformBatch:
     def __init__(self, dists) -> None:
         self._a = np.array([d.a for d in dists])
         self._b = np.array([d.b for d in dists])
@@ -515,7 +440,7 @@ class _UniformBatch(_Batch):
         return s
 
 
-class _ExponentialBatch(_Batch):
+class _ExponentialBatch:
     def __init__(self, dists) -> None:
         self._rate = np.array([d.rate for d in dists])
         self._neg_rate = -self._rate
@@ -536,7 +461,7 @@ class _ExponentialBatch(_Batch):
         return self._exp(r)
 
 
-class _DiscreteBatch(_Batch):
+class _DiscreteBatch:
     """The atoms of many DiscreteFinite rows in one CSR layout.
 
     Row j's sorted values are `values[starts[j]:starts[j] + m_j]`, and its
@@ -579,8 +504,14 @@ _BATCHES = {
 class _Packed:
     """G_i(r) and P(X_i >= r) of every variable of a list, in list order.
 
-    Variables are grouped by exact type, one batch per group; a type
-    without a family form (Mixture, any subclass) gets the scalar loop.
+    Variables are grouped by exact type, one family batch per group; an
+    `Instance` admits no other type.  Each batch evaluates one numpy pass
+    per call and equals the scalar methods bit for bit: it repeats each
+    scalar expression elementwise, and computes exp with math.exp, whose
+    bits, unlike np.exp's, do not depend on the host's SIMD dispatch; this
+    holds for every r that is not NaN.  The batches are called here only,
+    under muted numpy overflow and invalid warnings, as Python's float
+    arithmetic is silent on both.
     """
 
     def __init__(self, dists) -> None:
@@ -589,7 +520,7 @@ class _Packed:
             rows.setdefault(type(d), []).append(i)
         self._n = len(dists)
         self._parts = [
-            (np.array(idx, dtype=np.intp), _BATCHES.get(t, _Batch)([dists[i] for i in idx]))
+            (np.array(idx, dtype=np.intp), _BATCHES[t]([dists[i] for i in idx]))
             for t, idx in rows.items()
         ]
         # One family needs no scatter; its batch answers in list order.

@@ -15,26 +15,26 @@ pair at the derivative's sign change replaces S- and S+; a mixing weight
 alpha then places the blended survival sum exactly at 1.
 
 The resulting policy inspects the psi-support in weakly-decreasing
-conditional tail expectation, treating the fractional pair as a two-way
-mixture variable, and accepts the first sample at or above r*.  Its expected
-reward is at least (1 - 1/e) * U*, and replacing the mixture by whichever
-branch has the larger conditional reward derandomizes the policy without
-losing that guarantee.
+conditional tail expectation and accepts the first sample at or above r*.
+A fractional pair (l, m) makes it randomized: with probability alpha it
+probes l at the pair's slot, else m.  So it is two deterministic branch
+policies, and its statistics are their alpha-mix.  Its expected reward is
+at least (1 - 1/e) * U*, and keeping whichever branch has the larger
+reward derandomizes the policy without losing that guarantee.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable
+from dataclasses import astuple, dataclass
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .distributions import Distribution, Mixture
 from .errors import ValidationError
 from .gap2 import TIE_TOL, tie_class_at
 from .minmax import BoundResult, Instance, minimize_hmax
-from .policy_eval import PolicyStats, ThresholdPolicy, _reward_chain, evaluate
+from .policy_eval import PolicyStats, ThresholdPolicy, evaluate
 
 #: Tolerance on fractional-solution identities (survival sums, alpha clamping).
 TOL_PSI = 1e-4
@@ -188,60 +188,61 @@ def compute_psi_star(inst: Instance, r_star: float) -> PsiSolution:
 
 def build_policy(
     inst: Instance, sol: PsiSolution
-) -> tuple[ThresholdPolicy, tuple[int, ...]]:
-    """Threshold policy over the psi-support at r_star, plus its index labels.
+) -> tuple[tuple[ThresholdPolicy, tuple[int, ...]], ...]:
+    """Threshold policies over the psi-support at r_star, with their index labels.
 
-    Entries are the integral variables plus one mixture entry for the
-    fractional pair, sorted by weakly-decreasing conditional tail
-    expectation (zero-tail entries last, ties by lowest original index).
-    The labels give each entry's original index in inspection order; the
-    mixture is labelled by the lower index of its pair.
+    An integral solution gives one policy.  A fractional pair (l, m) gives
+    two branch policies, the l branch first, with l and m at one shared
+    slot; the randomized policy runs the l branch with probability
+    psi[l] = alpha.  Slots sort by weakly-decreasing conditional tail
+    expectation at r_star (zero-survival slots last, ties by lowest index);
+    the pair's slot sorts by the mixture's, w * T_l + (1 - w) * T_m over
+    w * P_l + (1 - w) * P_m with w = psi[l], and by min(l, m).  The labels
+    give each entry's original index in inspection order.
     """
-    entries = [(inst.dists[i], i) for i, w in enumerate(sol.psi) if w == 1.0]
+    r = sol.r_star
+    slots = []  # (survival, tail moment, label, the slot's index in each branch)
+    for i, w in enumerate(sol.psi):
+        if w == 1.0:
+            d = inst.dists[i]
+            slots.append((d.survival(r), d.tail_moment_one(r), i, (i, i)))
     if sol.frac_pair is not None:
         ell, m = sol.frac_pair
-        mix = Mixture(sol.psi[ell], inst.dists[ell], inst.dists[m])
-        entries.append((mix, min(ell, m)))
-
-    def sort_key(entry: tuple[Distribution, int]):
-        d, label = entry
-        cond = d.cond_exp_ge(sol.r_star) if d.survival(sol.r_star) > 0.0 else 0.0
-        return (-cond, label)
-
-    entries.sort(key=sort_key)
-    policy = ThresholdPolicy([d for d, _ in entries], threshold=sol.r_star)
-    return policy, tuple(label for _, label in entries)
+        w, left, right = sol.psi[ell], inst.dists[ell], inst.dists[m]
+        surv = w * left.survival(r) + (1.0 - w) * right.survival(r)
+        tail = w * left.tail_moment_one(r) + (1.0 - w) * right.tail_moment_one(r)
+        slots.append((surv, tail, min(ell, m), (ell, m)))
+    slots.sort(key=lambda s: (-(s[1] / s[0]) if s[0] > 0.0 else -0.0, s[2]))
+    orders = [tuple(s[3][b] for s in slots) for b in range(1 if sol.frac_pair is None else 2)]
+    return tuple((ThresholdPolicy([inst.dists[i] for i in order], r), order) for order in orders)
 
 
 def derandomize(
-    inst: Instance, sol: PsiSolution, policy: ThresholdPolicy, order: tuple[int, ...]
+    branches: Sequence[tuple[ThresholdPolicy, tuple[int, ...]]],
+    branch_stats: Sequence[PolicyStats],
 ) -> tuple[tuple[int, ...], float]:
-    """Replace the mixture entry by its better branch, keeping the order.
+    """The order and expected reward of the branch with the larger reward.
 
-    The reward of each branch is the policy's conditional expected reward
-    given the branch coin, so the better branch earns at least the
-    unconditional expectation; a tie keeps the first branch.  Needs a
-    fractional pair; returns the derandomized inspection order and its
-    expected reward.
+    A branch's reward is the randomized policy's expected reward given its
+    coin, so the better branch earns at least the randomized policy; a tie
+    keeps the first (the l branch).  One branch is its own
+    derandomization.
     """
-    slot = order.index(min(sol.frac_pair))
-    branches = []
-    for branch in sol.frac_pair:
-        entries = list(policy.entries)
-        entries[slot] = inst.dists[branch]
-        reward = _reward_chain(entries, policy.threshold)[2]
-        swapped = order[:slot] + (branch,) + order[slot + 1 :]
-        branches.append((swapped, reward))
-    return max(branches, key=lambda b: b[1])
+    best = max(range(len(branches)), key=lambda b: branch_stats[b].expected_reward)
+    return branches[best][1], branch_stats[best].expected_reward
 
 
 @dataclass(frozen=True)
 class ContinuousResult:
-    """Everything the pipeline produces for one instance."""
+    """Everything the pipeline produces for one instance.
+
+    `branches` holds build_policy's (policy, order) pairs and `stats` the
+    randomized policy's statistics, the alpha-mix of theirs.
+    """
 
     bound: BoundResult
     solution: PsiSolution
-    policy: ThresholdPolicy
+    branches: tuple[tuple[ThresholdPolicy, tuple[int, ...]], ...]
     stats: PolicyStats
     derandomized_order: tuple[int, ...]
     derandomized_reward: float
@@ -251,19 +252,24 @@ def solve_continuous(inst: Instance) -> ContinuousResult:
     """End-to-end pipeline: bound, psi*, policy, statistics, derandomized order.
 
     The minimizer bracket runs at width XI_SCALE * mu_max, and ties at its
-    midpoint use CONT_TIE_TOL.  Without a fractional pair the policy is
-    already deterministic, so it is its own derandomization.
+    midpoint use CONT_TIE_TOL.  Each of the five statistics is affine in
+    the pair slot's survival and tail moment, so the randomized policy's
+    statistics are alpha * stats(l branch) + (1 - alpha) * stats(m branch).
     """
     _require_continuous(inst)
     bound = minimize_hmax(inst, XI_SCALE * inst.mu_max)
     sol = compute_psi_star(inst, bound.r_hat)
-    policy, order = build_policy(inst, sol)
-    stats = evaluate(policy)
-    if sol.frac_pair is None:
-        der_order, der_reward = order, stats.expected_reward
-    else:
-        der_order, der_reward = derandomize(inst, sol, policy, order)
+    branches = build_policy(inst, sol)
+    branch_stats = [evaluate(policy) for policy, _ in branches]
+    stats = branch_stats[0]
+    if len(branches) == 2:
+        w = sol.alpha
+        stats = PolicyStats(*(
+            w * a + (1.0 - w) * b
+            for a, b in zip(astuple(branch_stats[0]), astuple(branch_stats[1]))
+        ))
+    der_order, der_reward = derandomize(branches, branch_stats)
     return ContinuousResult(
-        bound=bound, solution=sol, policy=policy, stats=stats,
+        bound=bound, solution=sol, branches=branches, stats=stats,
         derandomized_order=der_order, derandomized_reward=der_reward,
     )

@@ -184,10 +184,8 @@ def emit_instance(inst: Instance) -> str:
             lines.append(f"dist discrete values {values} probs {probs}")
         elif isinstance(d, Uniform):
             lines.append(f"dist uniform a {d.a!r} b {d.b!r}")
-        elif isinstance(d, Exponential):
-            lines.append(f"dist exponential rate {d.rate!r}")
         else:
-            raise ValidationError(f"distribution {d!r} has no file representation")
+            lines.append(f"dist exponential rate {d.rate!r}")
     return "\n".join(lines) + "\n"
 
 

@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .distributions import Distribution, _Packed
+from .distributions import _BATCHES, Distribution, _Packed
 from .errors import ValidationError
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi, golden-section shrink factor
@@ -33,7 +33,7 @@ RHO_TOL_SCALE = 1e-12
 
 @dataclass(frozen=True)
 class Instance:
-    """n independent non-negative random variables plus the probe budget k."""
+    """n independent variables of the three families plus the probe budget k."""
 
     dists: tuple[Distribution, ...]
     k: int
@@ -46,6 +46,10 @@ class Instance:
             raise ValidationError(f"budget k={k!r} must be an integer")
         if not 1 <= k <= len(dists):
             raise ValidationError(f"budget k={k} must satisfy 1 <= k <= n={len(dists)}")
+        if not set(map(type, dists)).issubset(_BATCHES):
+            i, d = next((i, d) for i, d in enumerate(dists) if type(d) not in _BATCHES)
+            raise ValidationError(f"variable {i} is a {type(d).__name__}, "
+                                  "not a DiscreteFinite, Uniform or Exponential")
         mu_max = max(d.mean() for d in dists)
         if mu_max <= 0.0:
             raise ValidationError("all-zero instance rejected: max mean must be positive")

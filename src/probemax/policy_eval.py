@@ -97,22 +97,22 @@ def bernoulli_count_pmf(ps: Sequence[float]) -> list[float]:
     return pmf
 
 
-def _reward_chain(
-    entries: Sequence[Distribution], r: float
-) -> tuple[list[float], list[float], float, float, float]:
-    """(p_i, p_i * c_i, E[reward], P(B >= 1), E[(B-1)^+]) at threshold r, in O(k).
+def evaluate(policy: ThresholdPolicy) -> PolicyStats:
+    """All five policy statistics, computed in closed form (no sampling).
 
-    `hit` is P(B_{<i} >= 1), summed as hit += p_i * miss, where miss is
-    prod_{j<i} (1 - p_j): every term is non-negative, so it keeps its
-    relative accuracy at any scale of p.  Each entry adds p_i * hit to
-    E[(B-1)^+].  P(B >= 1) is `hit` while hit < 0.5 and 1 - miss above,
-    where miss <= 0.5 leaves that difference nothing to cancel; it never
-    exceeds 1.  This pass replaces the O(k^2) `bernoulli_count_pmf`, which
-    stays public as the exact reference the tests compare it with.
+    One O(k) pass: `hit` is P(B_{<i} >= 1), summed as hit += p_i * miss,
+    where miss is prod_{j<i} (1 - p_j): every term is non-negative, so it
+    keeps its relative accuracy at any scale of p.  Each entry adds
+    p_i * hit to E[(B-1)^+].  P(B >= 1) is `hit` while hit < 0.5 and
+    1 - miss above, where miss <= 0.5 leaves that difference nothing to
+    cancel; it never exceeds 1.  This pass replaces the O(k^2)
+    `bernoulli_count_pmf`, which stays public as the exact reference the
+    tests compare it with.
     """
-    ps = [d.survival(r) for d in entries]
+    r = policy.threshold
+    ps = [d.survival(r) for d in policy.entries]
     # p * c = E[X 1{X >= r}]; safe even when the tail is empty.
-    pcs = [d.tail_moment_one(r) for d in entries]
+    pcs = [d.tail_moment_one(r) for d in policy.entries]
     reward_terms = []
     excess_terms = []
     miss = 1.0
@@ -122,16 +122,6 @@ def _reward_chain(
         excess_terms.append(p * hit)
         hit += p * miss
         miss *= 1.0 - p
-    prob_stop = hit if hit < 0.5 else 1.0 - miss
-    return ps, pcs, math.fsum(reward_terms), prob_stop, math.fsum(excess_terms)
-
-
-def evaluate(policy: ThresholdPolicy) -> PolicyStats:
-    """All five policy statistics, computed in closed form (no sampling)."""
-    ps, pcs, expected_reward, prob_stop, expected_excess = _reward_chain(
-        policy.entries, policy.threshold
-    )
-    expected_b = math.fsum(ps)
     try:
         expected_sum = math.fsum(pcs)
     except OverflowError:
@@ -140,11 +130,11 @@ def evaluate(policy: ThresholdPolicy) -> PolicyStats:
             "the variables' values exceed the floating-point range"
         ) from None
     return PolicyStats(
-        expected_reward=expected_reward,
-        expected_b=expected_b,
-        prob_stop=prob_stop,
+        expected_reward=math.fsum(reward_terms),
+        expected_b=math.fsum(ps),
+        prob_stop=hit if hit < 0.5 else 1.0 - miss,
         expected_sum=expected_sum,
-        expected_excess=expected_excess,
+        expected_excess=math.fsum(excess_terms),
     )
 
 

@@ -1,4 +1,5 @@
-"""Shared builders for seeded random test instances, and H(r, S) as a reference."""
+"""Shared builders for seeded random test instances, and references: H(r, S)
+and a two-way mixture entry."""
 
 import math
 from typing import Iterable
@@ -33,3 +34,22 @@ def h_value(inst: Instance, r: float, subset: Iterable[int]) -> float:
     """
     idx = inst.subset(subset)
     return r + math.fsum(inst.dists[i].g_value(r) for i in idx)
+
+
+class TwoWay:
+    """X = left with probability w, else right, as one policy entry.
+
+    It has the two oracles `evaluate` reads, each the w-mix of the
+    branches' values; it is the reference for the randomized policy of a
+    fractional pair.
+    """
+
+    def __init__(self, w: float, left, right) -> None:
+        self.w, self.left, self.right = w, left, right
+
+    def survival(self, r: float) -> float:
+        return self.w * self.left.survival(r) + (1.0 - self.w) * self.right.survival(r)
+
+    def tail_moment_one(self, r: float) -> float:
+        return (self.w * self.left.tail_moment_one(r)
+                + (1.0 - self.w) * self.right.tail_moment_one(r))

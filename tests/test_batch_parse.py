@@ -15,6 +15,7 @@ same bits on every valid one: the arrays, both lines of tail sums and
 import math
 import re
 import tracemalloc
+import warnings
 from itertools import accumulate
 
 import numpy as np
@@ -56,6 +57,9 @@ def reference_discrete(atoms) -> DiscreteFinite:
     tail_pv = tuple(accumulate(
         p * v for v, p in zip(reversed(values), reversed(probs))
     ))[::-1] + (0.0,)
+    if tail_pv[0] == math.inf:
+        raise ValidationError(
+            f"support values up to {values[-1]!r} are too large: their mean overflows")
     d._tails = np.array([(1.0, *tail_p[1:]), tail_pv])  # the full mass heads P's sums
     return d
 
@@ -272,9 +276,29 @@ def test_constructor_builds_the_reference_bits(row):
 @pytest.mark.parametrize("atoms", [
     [], [(1.0, 0.5)], [(-1.0, 1.0)], [(1.0, 0.0)], [(float("nan"), 1.0)], [(1.0, float("nan"))],
     [(1.0, 0.5), (float("inf"), 0.5)], [(0.5, 0.5), (1.0, 1.5)], [("2", "1")],
+    [(1.7976931348623155e308, 0.5), (1.7976931348623157e308, 0.5000000000001)],
 ])
 def test_constructor_raises_the_reference_error(atoms):
     assert outcome(DiscreteFinite, atoms) == outcome(reference_discrete, atoms)
+
+
+#: A row whose mean, its top P * v suffix sum, overflows.
+OVERFLOWING = "dist discrete values 1.7976931348623157e308 1.7976931348623155e308 " \
+              "probs 0.5000000000001 0.5"
+
+
+@pytest.mark.parametrize("first, second, line", [
+    (OVERFLOWING, "dist discrete values 1 2 probs 0.5 0.4", 3),
+    ("dist discrete values 1 probs 1.5", OVERFLOWING, 3),
+    ("dist discrete values 1 probs 1", OVERFLOWING, 4),
+])
+def test_an_overflowing_mean_is_rejected_in_file_order(first, second, line):
+    text = f"k 1\ndist uniform a 0 b 1\n{first}\n{second}\n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        error = assert_same_parse(text)
+    assert error[0] is ValidationError
+    assert error[1].startswith(f"line {line}: ")
 
 
 def reference_gen_discrete(n: int, k: int, seed: int) -> Instance:

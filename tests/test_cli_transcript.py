@@ -82,6 +82,8 @@ EDGE = {
     "huge-exponential": ("k 1\ndist exponential rate 1e-308\n", "1"),
     "overflowing-mean": ("k 1\ndist uniform a 0 b 1\ndist exponential rate 5e-324\n", "1"),
     "uniform-overflowing-mean": ("k 1\ndist uniform a 1e308 b 1.5e308\n", "1"),
+    "discrete-overflowing-mean": ("k 1\ndist discrete values 1.7976931348623155e308 "
+                                  "1.7976931348623157e308 probs 0.5 0.5000000000001\n", "1"),
     "uniform-e200": ("k 1\ndist uniform a 0 b 1e200\n", "1"),
     "tiny-uniforms": ("k 2\ndist uniform a 0 b 1e-200\ndist uniform a 0 b 2e-200\n", "1,2"),
     "pair-e200": ("k 2\ndist discrete values 0 1e200 probs 0.5 0.5\n"

@@ -20,7 +20,6 @@ from probemax import (
     Uniform,
     ValidationError,
     adaptive_optimum_dp,
-    emit_instance,
     expected_max_exact_discrete,
     gen_instance,
     minimize_hmax,
@@ -31,7 +30,7 @@ from probemax import (
     static_optimum_enum,
 )
 from probemax import errors
-from probemax.distributions import Mixture
+from probemax.distributions import Distribution
 from probemax.errors import InstanceTooLarge
 from probemax.gap_continuous import compute_psi_star
 from probemax.minmax import h_derivative_continuous
@@ -56,6 +55,33 @@ HUGE_VALUES = (1.7976931348623153e308, 1.7976931348623155e308, 1.797693134862314
 HUGE_PROBS = (0.038461538461538464, 0.38461538461538464, 0.07692307692307693,
               0.15384615384615385, 0.34615384615384615)
 HUGE_PAIR = [DiscreteFinite(zip(v, HUGE_PROBS)) for v in (HUGE_VALUES, HUGE_VALUES[::-1])]
+
+
+
+class Constant(Distribution):
+    """A point mass at 1 of none of the three families, every oracle defined."""
+
+    is_continuous = False
+
+    def mean(self):
+        return 1.0
+
+    def survival(self, r):
+        return 1.0 if r <= 1.0 else 0.0
+
+    def tail_moment_one(self, r):
+        return self.survival(r)
+
+    def g_value(self, r):
+        return max(1.0 - r, 0.0)
+
+    def draw(self, u):
+        return u * 0.0 + 1.0
+
+
+class NarrowUniform(Uniform):
+    """A subclass the packed oracles would read with Uniform's formulas."""
+
 
 #: site -> (call that rejects its input, class, whole message).
 SITES = {
@@ -137,11 +163,14 @@ SITES = {
     "instance_io.gen_instance: string seed": (
         lambda: gen_instance(2, 1, "discrete", "7"),
         ValidationError, "seed='7' must be an integer"),
-    "instance_io.emit_instance: mixture": (
-        lambda: emit_instance(Instance([Mixture(0.5, Uniform(0, 1), Uniform(0, 2))], 1)),
+    "minmax.Instance: foreign variable type": (
+        lambda: Instance([Uniform(0, 1), Constant(), Constant()], 1),
         ValidationError,
-        "distribution Mixture(0.5, Uniform(0.0, 1.0), Uniform(0.0, 2.0)) "
-        "has no file representation"),
+        "variable 1 is a Constant, not a DiscreteFinite, Uniform or Exponential"),
+    "minmax.Instance: subclass of a family": (
+        lambda: Instance([NarrowUniform(0, 1)], 1),
+        ValidationError,
+        "variable 0 is a NarrowUniform, not a DiscreteFinite, Uniform or Exponential"),
 }
 
 

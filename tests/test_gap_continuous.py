@@ -4,12 +4,14 @@ import math
 import re
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import h_value, random_continuous_instance
+from conftest import TwoWay, h_value, random_continuous_instance
 from probemax import (
+    Exponential,
     Instance,
     ThresholdPolicy,
     Uniform,
@@ -19,7 +21,6 @@ from probemax import (
     point_mass,
     solve_continuous,
 )
-from probemax.distributions import Mixture
 from probemax.gap_continuous import (
     CONT_TIE_TOL,
     TOL_PSI,
@@ -150,35 +151,42 @@ class TestBuildPolicy:
         k = 2
         inst = Instance([Uniform(0, 1) for _ in range(k)], k)
         sol = compute_psi_star(inst, 0.5)
-        policy, order = build_policy(inst, sol)
+        ((policy, order),) = build_policy(inst, sol)
         assert order == (0, 1)
         assert all(d is inst.dists[i] for d, i in zip(policy.entries, order))
         assert policy.threshold == 0.5
 
-    def test_mixture_entry_survival_law(self):
+    def test_pair_members_share_one_slot(self):
         sol = compute_psi_star(TRIO, 2.0)
-        policy, order = build_policy(TRIO, sol)
-        slots = [j for j, d in enumerate(policy.entries) if isinstance(d, Mixture)]
-        assert len(slots) == 1
-        mix = policy.entries[slots[0]]
+        (l_policy, l_order), (m_policy, m_order) = build_policy(TRIO, sol)
         ell, m = sol.frac_pair
-        assert order[slots[0]] == min(ell, m)
-        expected = (
-            sol.psi[ell] * TRIO.dists[ell].survival(2.0)
-            + (1 - sol.psi[ell]) * TRIO.dists[m].survival(2.0)
-        )
-        assert mix.survival(2.0) == pytest.approx(expected, abs=1e-12)
+        slot = l_order.index(ell)
+        assert m_order == l_order[:slot] + (m,) + l_order[slot + 1:]
+        for policy, order in ((l_policy, l_order), (m_policy, m_order)):
+            assert policy.entries == tuple(TRIO.dists[i] for i in order)
+            assert policy.threshold == 2.0
 
     def test_sorted_by_conditional_tail(self):
         for seed in range(20):
             inst = random_continuous_instance(seed + 40)
             result = solve_continuous(inst)
-            policy = result.policy
+            entries = randomized_entries(inst, result)
+            r = result.solution.r_star
             conds = []
-            for d in policy.entries:
-                s = d.survival(policy.threshold)
-                conds.append(d.cond_exp_ge(policy.threshold) if s > 0 else 0.0)
+            for d in entries:
+                s = d.survival(r)
+                conds.append(d.tail_moment_one(r) / s if s > 0 else 0.0)
             assert all(a >= b - 1e-12 for a, b in zip(conds, conds[1:]))
+
+
+def randomized_entries(inst, result) -> list:
+    """The l branch's entries with a TwoWay entry at the fractional pair's slot."""
+    policy, order = result.branches[0]
+    entries = list(policy.entries)
+    if result.solution.frac_pair is not None:
+        ell, m = result.solution.frac_pair
+        entries[order.index(ell)] = TwoWay(result.solution.alpha, inst.dists[ell], inst.dists[m])
+    return entries
 
 
 class TestDerandomize:
@@ -187,9 +195,11 @@ class TestDerandomize:
         inst = Instance([Uniform(0, 1) for _ in range(k)], k)
         result = solve_continuous(inst)
         assert result.solution.frac_pair is None
-        assert result.derandomized_order == build_policy(inst, result.solution)[1]
+        ((policy, order),) = result.branches
+        assert result.derandomized_order == order == build_policy(inst, result.solution)[0][1]
         assert sorted(result.derandomized_order) == [0, 1]
-        assert result.derandomized_reward == evaluate(result.policy).expected_reward
+        assert result.derandomized_reward == evaluate(policy).expected_reward
+        assert result.stats == evaluate(policy)
 
     def test_symmetric_pair_keeps_first_branch(self):
         inst = Instance([Uniform(0, 2), Uniform(0, 2), Uniform(0, 2)], 2)
@@ -197,29 +207,34 @@ class TestDerandomize:
             r_star=1.0, s_minus=(0, 1), s_plus=(0, 2), alpha=0.5,
             frac_pair=(2, 1), psi=(1.0, 0.5, 0.5),
         )
-        policy, order = build_policy(inst, sol)
-        der_order, _ = derandomize(inst, sol, policy, order)
+        branches = build_policy(inst, sol)
+        stats = [evaluate(policy) for policy, _ in branches]
+        assert stats[0] == stats[1]
+        der_order, _ = derandomize(branches, stats)
         assert 2 in der_order and 1 not in der_order
 
     def test_tail_dominant_branch_wins(self):
         sol = compute_psi_star(TRIO, 2.0)
-        policy, order = build_policy(TRIO, sol)
+        branches = build_policy(TRIO, sol)
         ell, m = sol.frac_pair
         tail = lambda i: TRIO.dists[i].tail_moment_one(2.0)
         assert tail(ell) > tail(m)
-        der_order, der_reward = derandomize(TRIO, sol, policy, order)
+        der_order, der_reward = derandomize(branches, [evaluate(p) for p, _ in branches])
         assert ell in der_order and m not in der_order
-        unconditional = evaluate(policy).expected_reward
+        slot = der_order.index(ell)
+        entries = [TRIO.dists[i] for i in der_order]
+        entries[slot] = TwoWay(sol.alpha, TRIO.dists[ell], TRIO.dists[m])
+        unconditional = evaluate(ThresholdPolicy(entries, 2.0)).expected_reward
         assert der_reward >= unconditional - 1e-12
 
     def test_branch_reward_is_the_closed_form_reward_without_the_convolution(self):
-        sol = compute_psi_star(TRIO, 2.0)
-        policy, order = build_policy(TRIO, sol)
         with mock.patch("probemax.policy_eval.bernoulli_count_pmf",
                         side_effect=AssertionError("E[reward] needs no count pmf")):
-            der_order, der_reward = derandomize(TRIO, sol, policy, order)
-        chosen = ThresholdPolicy([TRIO.dists[i] for i in der_order], policy.threshold)
-        assert der_reward == evaluate(chosen).expected_reward
+            result = solve_continuous(TRIO)
+        assert result.solution.frac_pair is not None
+        chosen = ThresholdPolicy([TRIO.dists[i] for i in result.derandomized_order],
+                                 result.solution.r_star)
+        assert result.derandomized_reward == evaluate(chosen).expected_reward
 
 
 class TestPipeline:
@@ -276,12 +291,14 @@ class TestPipeline:
         for subset in combinations(range(inst.n), inst.k):
             assert h_bar >= h_value(inst, sol.r_star, subset) - 1e-6
 
-    def test_kink_minimizer_yields_mixture_entry(self):
+    def test_kink_minimizer_yields_two_branches(self):
         # the envelope of TRIO has its unique minimizer at the three-way tie
         result = solve_continuous(TRIO)
         assert result.solution.frac_pair == (2, 0)
         assert result.solution.alpha == pytest.approx(0.5, abs=1e-6)
-        assert sum(isinstance(d, Mixture) for d in result.policy.entries) == 1
+        (l_policy, l_order), (_, m_order) = result.branches
+        assert 2 in l_order and 0 in m_order
+        assert result.derandomized_order == l_order  # the l branch wins
 
     def test_discrete_instance_rejected(self):
         inst = Instance([point_mass(1.0), Uniform(0, 1)], 1)
@@ -297,6 +314,56 @@ class TestPipeline:
         with pytest.raises(ValidationError, match=r"^variable 2 has a discontinuous CDF$"):
             construct_s_minus_plus(inst, 0.5)
         assert Instance(dists[:2], 1)._first_discontinuous is None
+
+
+R_KINK = 200.0
+
+
+def kink_instance(seed: int) -> Instance:
+    """Uniforms whose envelope has a kink at R_KINK, plus exponential fillers.
+
+    k - 1 of them, k in 3..6, have the largest G at R_KINK and survivals of
+    0.05-0.15; 2-4 more tie there in G with survivals of 0.3-0.7.  When the
+    survival sums with the tied members straddle 1, the minimizer sits at
+    the tie with a fractional pair.  The fillers have a tiny G.
+    """
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(3, 7))
+    dists = [uniform_through(R_KINK, 0.2, float(rng.choice((0.05, 0.1, 0.15))))
+             for _ in range(k - 1)]
+    dists += [uniform_through(R_KINK, 0.05, float(rng.choice((0.3, 0.4, 0.5, 0.6, 0.7))))
+              for _ in range(int(rng.integers(2, 5)))]
+    dists += [Exponential(float(rng.uniform(0.05, 0.2))) for _ in range(int(rng.integers(0, 3)))]
+    return Instance([dists[i] for i in rng.permutation(len(dists))], k)
+
+
+def ulps(a: float, b: float) -> float:
+    return abs(a - b) / math.ulp(max(abs(a), abs(b)))
+
+
+def test_randomized_stats_are_the_alpha_mix_of_the_branches():
+    """Each statistic is affine in the pair slot's survival and tail moment.
+
+    So the alpha-mix of the branches' statistics equals `evaluate` of the
+    policy with a TwoWay entry at the slot, up to rounding: within 4 ulps
+    (2 measured) on every kink instance with a fractional pair.
+    """
+    fractional = 0
+    for seed in range(400):
+        inst = kink_instance(seed)
+        result = solve_continuous(inst)
+        if result.solution.frac_pair is None:
+            continue
+        assert 0.0 < result.solution.alpha < 1.0
+        fractional += 1
+        reference = evaluate(ThresholdPolicy(randomized_entries(inst, result),
+                                             result.solution.r_star))
+        for field in ("expected_reward", "expected_b", "prob_stop", "expected_sum",
+                      "expected_excess"):
+            mixed, ref = getattr(result.stats, field), getattr(reference, field)
+            assert ulps(mixed, ref) <= 4, (seed, field, mixed, ref)
+        assert result.derandomized_reward >= result.stats.expected_reward
+    assert fractional >= 100
 
 
 # Survivals at R_TIE on a coarse grid, so survival ties are common too.

@@ -30,7 +30,7 @@ from hypothesis import strategies as st
 
 import probemax
 from probemax import DiscreteFinite, Exponential, Instance, Uniform
-from probemax.distributions import Mixture, _Packed
+from probemax.distributions import _Packed
 from probemax.gap2 import TIE_TOL, TieClass, tie_class_at
 from probemax.gap_continuous import CONT_TIE_TOL
 from probemax.instance_io import gen_instance, parse_instance_text
@@ -69,11 +69,7 @@ def discretes(draw):
     return DiscreteFinite([(v, w / total) for v, w in zip(values, weights)])
 
 
-FAMILIES = st.one_of(uniforms(), exponentials(), discretes())
-VARIABLES = st.one_of(
-    FAMILIES,
-    st.builds(Mixture, st.floats(0.0, 1.0), FAMILIES, FAMILIES),
-)
+VARIABLES = st.one_of(uniforms(), exponentials(), discretes())
 
 
 def probe_points(dists) -> list[float]:
@@ -81,16 +77,15 @@ def probe_points(dists) -> list[float]:
     points = [0.0, -0.0, -1.0, -1e308]
     tops = []
     for d in dists:
-        for part in (d.left, d.right) if isinstance(d, Mixture) else (d,):
-            if isinstance(part, Uniform):
-                marks = [part.a, part.b, part.mean()]
-            elif isinstance(part, Exponential):
-                marks = [part.mean(), min(30.0 * part.mean(), sys.float_info.max)]
-            else:
-                marks = part.values.tolist()
-            tops.append(max(marks))
-            for v in marks:
-                points += [v, math.nextafter(v, -math.inf), math.nextafter(v, math.inf)]
+        if isinstance(d, Uniform):
+            marks = [d.a, d.b, d.mean()]
+        elif isinstance(d, Exponential):
+            marks = [d.mean(), min(30.0 * d.mean(), sys.float_info.max)]
+        else:
+            marks = d.values.tolist()
+        tops.append(max(marks))
+        for v in marks:
+            points += [v, math.nextafter(v, -math.inf), math.nextafter(v, math.inf)]
     top = max(tops)
     points += [math.nextafter(top, math.inf), top + 1.0, min(2.0 * top, sys.float_info.max)]
     return points

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_discrete_instance
+from conftest import TwoWay, random_discrete_instance
 from test_packed import NO_AVX512, has_x86_v4, run_child
 from probemax import (
     DiscreteFinite,
@@ -26,7 +26,6 @@ from probemax import (
     rho,
     simulate,
 )
-from probemax.distributions import Mixture
 from probemax.policy_eval import bernoulli_count_pmf
 
 
@@ -59,7 +58,7 @@ class TestEvaluate:
         assert stats.expected_excess == 0.0
 
     def test_mixture_integrates_the_coin(self):
-        mix = Mixture(0.3, Uniform(0, 2), Exponential(1.0))
+        mix = TwoWay(0.3, Uniform(0, 2), Exponential(1.0))
         split = evaluate(ThresholdPolicy([mix], 0.8))
         left = evaluate(ThresholdPolicy([Uniform(0, 2)], 0.8))
         right = evaluate(ThresholdPolicy([Exponential(1.0)], 0.8))
@@ -188,20 +187,19 @@ def _many_atoms(m):
 _TWO = DiscreteFinite([(1.0, 0.5), (3.0, 0.5)])
 _THREE = DiscreteFinite([(0.5, 0.2), (2.25, 0.3), (6.0, 0.5)])
 _FOUR = DiscreteFinite([(0.0, 0.1), (1.5, 0.4), (4.0, 0.3), (9.75, 0.2)])
-# (entries, threshold); 100 atoms lie above the discrete draw's searchsorted
-# cutover, 20 below it.
+# (entries, threshold); the discrete draw counts cuts up to 128 atoms and
+# runs searchsorted above: "cutover" has a variable on each side of it,
+# "wide_atoms" one far above.
 PINNED_POLICIES = {
     "point_mass": ([point_mass(2.5)], 1.0),
     "small_discrete": ([_TWO, _THREE, _FOUR], 2.0),
     "many_atoms": ([_many_atoms(20), _many_atoms(100)], 5.0),
     "uniform": ([Uniform(0.0, 1.0), Uniform(1.5, 4.0)], 0.5),
     "exponential": ([Exponential(2.0), Exponential(0.5)], 1.0),
-    "mixture": ([Mixture(0.3, Uniform(0.0, 2.0), Exponential(1.0)),
-                 Mixture(0.6, _THREE, Uniform(1.0, 3.0))], 1.2),
-    "mixture_edges": ([Mixture(0.0, Uniform(0.0, 2.0), Exponential(1.5)),
-                       Mixture(1.0, Exponential(0.7), _TWO)], 0.9),
+    "cutover": ([_many_atoms(128), _many_atoms(129)], 5.0),
+    "wide_atoms": ([_many_atoms(300), Uniform(0.0, 4.0)], 6.0),
     "all_families": ([_THREE, Uniform(0.0, 5.0), point_mass(0.75), Exponential(0.8),
-                      _many_atoms(100), Mixture(0.45, _FOUR, Exponential(0.3)), _TWO], 2.5),
+                      _many_atoms(100), _TWO], 2.5),
 }
 # float.hex of (mean_reward, mean_max, stderr), keyed by (policy, trials, seed).
 # 200929 = 3 * 2**16 + 4321 trials end in a partial block.
@@ -216,12 +214,12 @@ PINNED_SIMULATIONS = {
     ("uniform", 200929, 1267650600228229401496703205387): ('0x1.c03f17fe18e28p+0', '0x1.602ba0b976825p+1', '0x1.499669d11b8b0p-9'),
     ("exponential", 1000, 7): ('0x1.cbb4267c21c22p+0', '0x1.10327e37bd39bp+1', '0x1.10b6b70849267p-4'),
     ("exponential", 200929, 1267650600228229401496703205387): ('0x1.c6fc7dadfadefp+0', '0x1.0cfffb8ad9798p+1', '0x1.23b91c5a504e7p-8'),
-    ("mixture", 1000, 7): ('0x1.5b75581b95640p+1', '0x1.a25ec06309344p+1', '0x1.f9ed1776215c7p-5'),
-    ("mixture", 200929, 1267650600228229401496703205387): ('0x1.51ca6f76e8756p+1', '0x1.995de1a53b53fp+1', '0x1.13cc78a3f5a85p-8'),
-    ("mixture_edges", 1000, 7): ('0x1.4d36106d5e9bap+0', '0x1.a5613a31a7770p+0', '0x1.74e64c509a420p-5'),
-    ("mixture_edges", 200929, 1267650600228229401496703205387): ('0x1.52dee7cefd882p+0', '0x1.a3fc3468f9388p+0', '0x1.969e8c1ad2defp-9'),
-    ("all_families", 1000, 7): ('0x1.51e94288c5570p+2', '0x1.b793dc22ab3d6p+2', '0x1.b742511164b60p-5'),
-    ("all_families", 200929, 1267650600228229401496703205387): ('0x1.5294639b08a3ap+2', '0x1.b9355cb1a141dp+2', '0x1.e6aedf4ba6d92p-9'),
+    ("cutover", 1000, 7): ('0x1.d77b890d5a5bap+2', '0x1.0e64ead0c3d25p+3', '0x1.fda0f8c9f38b6p-4'),
+    ("cutover", 200929, 1267650600228229401496703205387): ('0x1.e2e8a4317d4d2p+2', '0x1.11f23cfee5004p+3', '0x1.16cd471cb0ce0p-7'),
+    ("wide_atoms", 1000, 7): ('0x1.c3b7bf1e8e609p+3', '0x1.da32f4dee39dcp+3', '0x1.34a1c63a2311cp-2'),
+    ("wide_atoms", 200929, 1267650600228229401496703205387): ('0x1.cdc43d4029ffcp+3', '0x1.e40b265573f7ap+3', '0x1.5b58c04bbf967p-6'),
+    ("all_families", 1000, 7): ('0x1.472cd51fdbde3p+2', '0x1.8832af0088eafp+2', '0x1.c774881f0ad7dp-5'),
+    ("all_families", 200929, 1267650600228229401496703205387): ('0x1.4a73d9c513c6ap+2', '0x1.8dd41b3cf2d4fp+2', '0x1.f295328f4643dp-9'),
 }
 
 
@@ -269,9 +267,7 @@ class TestSimulate:
     def test_memory_bounded_in_trials(self):
         # Ten times the trials must not need more memory: trials stream in
         # blocks of a fixed size.
-        policy = ThresholdPolicy(
-            [Uniform(0, 1), Mixture(0.5, Uniform(0, 2), Exponential(1.0))], 0.6
-        )
+        policy = ThresholdPolicy([Uniform(0, 1), Exponential(1.0)], 0.6)
         peaks = []
         for trials in (10**5, 10**6):
             tracemalloc.start()
@@ -285,7 +281,7 @@ class TestSimulate:
     def test_memory_bounded_in_entries(self):
         # Ten times the entries must not need more memory: the block buffers
         # are reused from entry to entry.
-        entries = [Uniform(0, 1), Mixture(0.5, _THREE, Exponential(1.0)), _many_atoms(100)]
+        entries = [Uniform(0, 1), _THREE, Exponential(1.0), _many_atoms(100)]
         peaks = []
         for copies in (1, 10):
             tracemalloc.start()
