@@ -78,9 +78,7 @@ def _csv_text(rows: list[dict], fieldnames: list[str]) -> str:
 def _policy_from_args(inst: Instance, args) -> ThresholdPolicy:
     subset = _parse_indices(args.indices, inst)
     threshold = args.threshold if args.threshold is not None else rho(inst, subset)
-    return ThresholdPolicy(
-        entries=[inst.dists[i] for i in subset], threshold=threshold
-    )
+    return ThresholdPolicy(entries=inst._variables(subset), threshold=threshold)
 
 
 def cmd_bound(inst: Instance, args) -> dict:

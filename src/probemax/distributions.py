@@ -8,8 +8,10 @@ quadrature is involved, so numerical error budgets downstream are dominated
 by search tolerances.
 
 Supported families: finite discrete, uniform and exponential.  An
-`Instance` accepts exactly these three types, whose packed forms below
-evaluate a whole family at once.
+`Instance` holds its variables as columns, one set per family (`_Packed`
+below), whose batches evaluate a whole family at once; a scalar object is
+a view of one row, made on demand.  The scalar methods are the bit-level
+reference for the batches.
 """
 
 from __future__ import annotations
@@ -31,6 +33,14 @@ _COUNT_DRAW_MAX_ATOMS = 128
 # Rounding in a plain sum of m probabilities is at most (m - 1) * 2**-53 of
 # their total; at 2048 atoms that is under PROB_SUM_TOL / 4.
 _PLAIN_SUM_MAX_ATOMS = 2048
+
+
+def _real(r) -> float:
+    """r as a float; a real beyond the float range, such as 10**400, is +-inf."""
+    try:
+        return float(r)
+    except OverflowError:
+        return math.inf if r > 0 else -math.inf
 
 
 class Distribution(ABC):
@@ -63,6 +73,7 @@ class Distribution(ABC):
 
         Raises ValidationError when the conditioning event has probability zero.
         """
+        r = _real(r)
         s = self.survival(r)
         if s <= 0.0:
             raise ValidationError(f"P(X >= {r!r}) = 0, conditional expectation undefined")
@@ -88,7 +99,8 @@ class DiscreteFinite(Distribution):
 
     def __init__(self, atoms) -> None:
         items = [(float(v), float(p)) for v, p in atoms]
-        _discrete_rows([v for v, _ in items], [p for _, p in items], [len(items)], [self])
+        row = _DiscreteBatch.checked([v for v, _ in items], [p for _, p in items], [len(items)])
+        self.values, self.probs, self._tails = row.values, row.probs, row.tails
 
     def __repr__(self) -> str:
         pairs = ", ".join(
@@ -111,12 +123,13 @@ class DiscreteFinite(Distribution):
         return self._tails[:, np.count_nonzero(self.values < r)].tolist()
 
     def survival(self, r: float) -> float:
-        return self._tail(r)[0]
+        return self._tail(_real(r))[0]
 
     def tail_moment_one(self, r: float) -> float:
-        return self._tail(r)[1]
+        return self._tail(_real(r))[1]
 
     def g_value(self, r: float) -> float:
+        r = _real(r)
         s, moment = self._tail(r)
         g = moment - r * s
         # A -0.0 stays; NaN, on the empty tail at r = inf or at r = NaN, is 0.0.
@@ -233,58 +246,6 @@ def _tail_sums(values, probs, sizes) -> np.ndarray:
     return tails
 
 
-def _discrete_rows(values, probs, sizes, out=None) -> list[DiscreteFinite]:
-    """Check and build one DiscreteFinite per row of packed atoms.
-
-    Row i holds the next sizes[i] entries of `values` and `probs`.  All rows
-    are checked together by DiscreteFinite's rules; the first row it would
-    reject raises ValidationError with the same message, and the row's
-    index as the error's `row` attribute.  A row whose mean overflows is
-    rejected too, as Uniform and Exponential reject theirs.  `out` holds the
-    objects to fill; by default new ones are made.
-
-    The rows share one CSR layout, which _DiscreteBatch reads: each
-    variable's `values` and `probs` are slices of the packed arrays, which
-    may be the arrays passed in (the caller must not change them
-    afterwards), and its `_tails` a view of its m + 1 slots of both lines
-    of _tail_sums.
-    """
-    values = np.asarray(values, dtype=float)
-    probs = np.asarray(probs, dtype=float)
-    sizes = np.asarray(sizes, dtype=np.intp)
-    invalid = _first_invalid_row(values, probs, sizes)
-    # Only the rows before the first invalid one are sorted and summed; the
-    # first of them whose mean, its top P * v suffix sum, overflows is
-    # rejected instead.
-    rows = len(sizes) if invalid is None else invalid[0]
-    atoms = int(sizes[:rows].sum())
-    values, probs, sizes = _sort_rows(values[:atoms], probs[:atoms], sizes[:rows])
-    with np.errstate(over="ignore"):
-        tails = _tail_sums(values, probs, sizes)
-    ends = np.cumsum(sizes)
-    huge = np.flatnonzero(tails[1, ends - sizes + np.arange(rows)] == math.inf)
-    if huge.size:
-        row = int(huge[0])
-        top = values[ends[row] - 1].item()
-        invalid = (row, f"support values up to {top!r} are too large: their mean overflows")
-    if invalid is not None:
-        exc = ValidationError(invalid[1])
-        exc.row = invalid[0]
-        raise exc
-    built = []
-    end = 0
-    for row, m in enumerate(sizes.tolist()):
-        start, end = end, end + m
-        # Made and filled one at a time: objects made before the class has
-        # seen its attribute names get a full dict each, about 3x the memory.
-        d = DiscreteFinite.__new__(DiscreteFinite) if out is None else out[row]
-        d.values = values[start:end]
-        d.probs = probs[start:end]
-        d._tails = tails[:, start + row:end + row + 1]
-        built.append(d)
-    return built
-
-
 class Uniform(Distribution):
     """Uniform distribution on [a, b] with 0 <= a < b."""
 
@@ -315,6 +276,7 @@ class Uniform(Distribution):
         return 0.5 * (self.a + self.b)
 
     def survival(self, r: float) -> float:
+        r = _real(r)
         if r <= self.a:
             return 1.0
         if r >= self.b:
@@ -322,6 +284,7 @@ class Uniform(Distribution):
         return (self.b - r) / (self.b - self.a)
 
     def tail_moment_one(self, r: float) -> float:
+        r = _real(r)
         if r <= self.a:
             return self.mean()
         if r >= self.b:
@@ -336,6 +299,7 @@ class Uniform(Distribution):
         return num / (2.0 * (self.b - self.a))
 
     def g_value(self, r: float) -> float:
+        r = _real(r)
         if r <= self.a:
             return self.mean() - r
         if r >= self.b:
@@ -374,17 +338,22 @@ class Exponential(Distribution):
         return 1.0 / self.rate
 
     def survival(self, r: float) -> float:
+        r = _real(r)
         if r <= 0.0:
             return 1.0
         return math.exp(-self.rate * r)
 
     def tail_moment_one(self, r: float) -> float:
+        r = _real(r)
         if r <= 0.0:
             return self.mean()
+        if r == math.inf:
+            return 0.0  # exp(-inf) * inf would be NaN
         # memorylessness: E[X | X >= r] = r + 1/rate
         return math.exp(-self.rate * r) * (r + 1.0 / self.rate)
 
     def g_value(self, r: float) -> float:
+        r = _real(r)
         if r <= 0.0:
             return self.mean() - r
         return math.exp(-self.rate * r) / self.rate
@@ -405,46 +374,123 @@ def point_mass(value: float) -> DiscreteFinite:
     return DiscreteFinite([(value, 1.0)])
 
 
+
+
+def _raise_first_bad(ok, build) -> None:
+    """Raise the error of the first row that a scalar constructor rejects.
+
+    `ok` flags the rows a bulk check accepts; only the others are built
+    again one at a time, by `build(row)`.  The error carries the row as its
+    `row` attribute, as _DiscreteBatch.checked's does.
+    """
+    for row in np.flatnonzero(~ok).tolist():
+        try:
+            build(row)
+        except ValidationError as exc:
+            exc.row = row
+            raise
+
+
+def _ranges(starts, lengths) -> np.ndarray:
+    """The indices start, ..., start + length - 1 of each pair, concatenated."""
+    offsets = np.cumsum(lengths) - lengths
+    return np.repeat(starts - offsets, lengths) + np.arange(int(lengths.sum()))
+
+
 class _UniformBatch:
-    def __init__(self, dists) -> None:
-        self._a = np.array([d.a for d in dists])
-        self._b = np.array([d.b for d in dists])
-        self._width = self._b - self._a
+    """Uniform rows as the columns `a` and `b`."""
+
+    def __init__(self, a, b) -> None:
+        self.a, self.b = a, b
+        self._width = b - a
         with np.errstate(over="ignore"):  # inf above 2**1023, as in the scalar form
             self._two_width = 2.0 * self._width
-        self._mean = 0.5 * (self._a + self._b)
+        self.mean = 0.5 * (a + b)
         # An r below every b, or above every a, needs no mask for that end.
-        self._b_min = float(self._b.min())
-        self._a_max = float(self._a.max())
+        self._b_min = float(np.min(b, initial=math.inf))
+        self._a_max = float(np.max(a, initial=-math.inf))
+
+    @classmethod
+    def checked(cls, a, b) -> _UniformBatch:
+        """The rows (a[j], b[j]), checked by Uniform's rules in bulk.
+
+        The first row Uniform rejects raises its ValidationError, with the
+        row as the error's `row` attribute.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            ok = (np.isfinite(a) & np.isfinite(b) & (a >= 0.0) & (b > a)
+                  & np.isfinite(0.5 * (a + b)))
+        _raise_first_bad(ok, lambda j: Uniform(a[j], b[j]))
+        return cls(a, b)
+
+    @classmethod
+    def gather(cls, dists) -> _UniformBatch:
+        return cls(np.array([d.a for d in dists]), np.array([d.b for d in dists]))
+
+    def take(self, rows) -> _UniformBatch:
+        return _UniformBatch(self.a[rows], self.b[rows])
+
+    def views(self, rows) -> list[Uniform]:
+        out = []
+        for a, b in zip(self.a[rows].tolist(), self.b[rows].tolist()):
+            d = Uniform.__new__(Uniform)
+            d.a, d.b = a, b
+            out.append(d)
+        return out
 
     def g_value(self, r: float) -> np.ndarray:
-        d = self._b - r
+        d = self.b - r
         dd = d * d
         g = dd / self._two_width
         odd = (dd < sys.float_info.min) | (dd == math.inf)
         if odd.any():
             g[odd] = (d[odd] / self._width[odd]) * (0.5 * d[odd])
         if r >= self._b_min:
-            g[r >= self._b] = 0.0
+            g[r >= self.b] = 0.0
         if r <= self._a_max:
-            low = r <= self._a
-            g[low] = self._mean[low] - r
+            low = r <= self.a
+            g[low] = self.mean[low] - r
         return g
 
     def survival(self, r: float) -> np.ndarray:
-        s = (self._b - r) / self._width
+        s = (self.b - r) / self._width
         if r >= self._b_min:
-            s[r >= self._b] = 0.0
+            s[r >= self.b] = 0.0
         if r <= self._a_max:
-            s[r <= self._a] = 1.0
+            s[r <= self.a] = 1.0
         return s
 
 
 class _ExponentialBatch:
-    def __init__(self, dists) -> None:
-        self._rate = np.array([d.rate for d in dists])
-        self._neg_rate = -self._rate
-        self._mean = 1.0 / self._rate
+    """Exponential rows as the column `rate`."""
+
+    def __init__(self, rate) -> None:
+        self.rate = rate
+        self._neg_rate = -rate
+        self.mean = 1.0 / rate
+
+    @classmethod
+    def checked(cls, rate) -> _ExponentialBatch:
+        """The rows rate[j], checked by Exponential's rules in bulk, as _UniformBatch.checked."""
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            ok = np.isfinite(rate) & (rate > 0.0) & np.isfinite(1.0 / rate)
+        _raise_first_bad(ok, lambda j: Exponential(rate[j]))
+        return cls(rate)
+
+    @classmethod
+    def gather(cls, dists) -> _ExponentialBatch:
+        return cls(np.array([d.rate for d in dists]))
+
+    def take(self, rows) -> _ExponentialBatch:
+        return _ExponentialBatch(self.rate[rows])
+
+    def views(self, rows) -> list[Exponential]:
+        out = []
+        for rate in self.rate[rows].tolist():
+            d = Exponential.__new__(Exponential)
+            d.rate = rate
+            out.append(d)
+        return out
 
     def _exp(self, r: float) -> np.ndarray:
         args = (self._neg_rate * r).tolist()
@@ -452,33 +498,99 @@ class _ExponentialBatch:
 
     def g_value(self, r: float) -> np.ndarray:
         if r <= 0.0:
-            return self._mean - r
-        return self._exp(r) / self._rate
+            return self.mean - r
+        return self._exp(r) / self.rate
 
     def survival(self, r: float) -> np.ndarray:
         if r <= 0.0:
-            return np.ones(len(self._rate))
+            return np.ones(len(self.rate))
         return self._exp(r)
 
 
 class _DiscreteBatch:
-    """The atoms of many DiscreteFinite rows in one CSR layout.
+    """Discrete rows in one CSR layout.
 
-    Row j's sorted values are `values[starts[j]:starts[j] + m_j]`, and its
-    m_j + 1 tail slots (see _tail_sums) start at `heads[j]` of the two
-    tail arrays.  The count of row values < r is the index the scalar
-    methods read.
+    Row j's sorted values and their probabilities are the sizes[j] entries
+    of `values` and `probs` from starts[j] on, and its m_j + 1 tail slots
+    (see _tail_sums) start at heads[j] = starts[j] + j of both lines of
+    `tails`.  The count of row values < r is the index the scalar methods
+    read.
     """
 
-    def __init__(self, dists) -> None:
-        sizes = np.array([len(d.values) for d in dists], dtype=np.intp)
+    def __init__(self, values, probs, sizes, tails) -> None:
+        self.values, self.probs, self.sizes, self.tails = values, probs, sizes, tails
         self._starts = np.cumsum(sizes) - sizes
         self._heads = self._starts + np.arange(len(sizes))
-        self._values = np.concatenate([d.values for d in dists])
-        self._tail_p, self._tail_pv = np.concatenate([d._tails for d in dists], axis=1)
+        self._tail_p, self._tail_pv = tails  # contiguous rows index faster
+        self.mean = self._tail_pv[self._heads]  # each row's top suffix sum of P * v
+
+    @classmethod
+    def checked(cls, values, probs, sizes) -> _DiscreteBatch:
+        """Check, sort and sum rows of packed atoms, as DiscreteFinite does.
+
+        Row i holds the next sizes[i] entries of `values` and `probs`.  All
+        rows are checked together by DiscreteFinite's rules; the first row
+        it would reject raises ValidationError with the same message, and
+        the row's index as the error's `row` attribute.  A row whose mean
+        overflows is rejected too, as Uniform and Exponential reject theirs.
+        The batch may hold the arrays passed in; the caller must not change
+        them afterwards.
+        """
+        values = np.asarray(values, dtype=float)
+        probs = np.asarray(probs, dtype=float)
+        sizes = np.asarray(sizes, dtype=np.intp)
+        invalid = _first_invalid_row(values, probs, sizes)
+        # Only the rows before the first invalid one are sorted and summed;
+        # the first of them whose mean, its top P * v suffix sum, overflows
+        # is rejected instead.
+        rows = len(sizes) if invalid is None else invalid[0]
+        atoms = int(sizes[:rows].sum())
+        values, probs, sizes = _sort_rows(values[:atoms], probs[:atoms], sizes[:rows])
+        with np.errstate(over="ignore"):
+            tails = _tail_sums(values, probs, sizes)
+        batch = cls(values, probs, sizes, tails)
+        huge = np.flatnonzero(batch.mean == math.inf)
+        if huge.size:
+            row = int(huge[0])
+            top = values[batch._starts[row] + sizes[row] - 1].item()
+            invalid = (row, f"support values up to {top!r} are too large: their mean overflows")
+        if invalid is not None:
+            exc = ValidationError(invalid[1])
+            exc.row = invalid[0]
+            raise exc
+        return batch
+
+    @classmethod
+    def gather(cls, dists) -> _DiscreteBatch:
+        return cls(
+            np.concatenate([d.values for d in dists]),
+            np.concatenate([d.probs for d in dists]),
+            np.array([len(d.values) for d in dists], dtype=np.intp),
+            np.concatenate([d._tails for d in dists], axis=1),
+        )
+
+    def take(self, rows) -> _DiscreteBatch:
+        sizes = self.sizes[rows]
+        atoms = _ranges(self._starts[rows], sizes)
+        slots = _ranges(self._heads[rows], sizes + 1)
+        return _DiscreteBatch(self.values[atoms], self.probs[atoms], sizes, self.tails[:, slots])
+
+    def views(self, rows) -> list[DiscreteFinite]:
+        """One DiscreteFinite per row, whose arrays are views of the batch's."""
+        out = []
+        for j, start, m in zip(rows.tolist(), self._starts[rows].tolist(),
+                               self.sizes[rows].tolist()):
+            # Made and filled one at a time: objects made before the class has
+            # seen its attribute names get a full dict each, about 3x the memory.
+            d = DiscreteFinite.__new__(DiscreteFinite)
+            d.values = self.values[start:start + m]
+            d.probs = self.probs[start:start + m]
+            d._tails = self.tails[:, start + j:start + j + m + 1]
+            out.append(d)
+        return out
 
     def _index(self, r: float) -> np.ndarray:
-        idx = np.add.reduceat(self._values < r, self._starts, dtype=np.intp)
+        idx = np.add.reduceat(self.values < r, self._starts, dtype=np.intp)
         idx += self._heads
         return idx
 
@@ -494,37 +606,92 @@ class _DiscreteBatch:
         return self._tail_p[self._index(r)]
 
 
-_BATCHES = {
-    Uniform: _UniformBatch,
-    Exponential: _ExponentialBatch,
-    DiscreteFinite: _DiscreteBatch,
-}
+#: The families in the order of their codes in _Packed.kind, with their batches.
+_FAMILIES = (DiscreteFinite, Uniform, Exponential)
+_BATCHES = {DiscreteFinite: _DiscreteBatch, Uniform: _UniformBatch, Exponential: _ExponentialBatch}
 
 
 class _Packed:
-    """G_i(r) and P(X_i >= r) of every variable of a list, in list order.
+    """Variables as columns: one batch per family, plus the index map.
 
-    Variables are grouped by exact type, one family batch per group; an
-    `Instance` admits no other type.  Each batch evaluates one numpy pass
-    per call and equals the scalar methods bit for bit: it repeats each
-    scalar expression elementwise, and computes exp with math.exp, whose
-    bits, unlike np.exp's, do not depend on the host's SIMD dispatch; this
-    holds for every r that is not NaN.  The batches are called here only,
-    under muted numpy overflow and invalid warnings, as Python's float
-    arithmetic is silent on both.
+    `kind[i]` is variable i's family, an index into _FAMILIES, and
+    `batches[kind[i]]` holds it at the row that counts the variables of
+    that family before i; a family with no variable has None.  Each batch
+    evaluates G_i(r) and P(X_i >= r) of its family in one numpy pass per
+    call and equals the scalar methods bit for bit: it repeats each scalar
+    expression elementwise, and computes exp with math.exp, whose bits,
+    unlike np.exp's, do not depend on the host's SIMD dispatch; this holds
+    for every r that is not NaN.  The batches are called here only, under
+    muted numpy overflow and invalid warnings, as Python's float arithmetic
+    is silent on both.
     """
 
     def __init__(self, dists) -> None:
-        rows: dict[type, list[int]] = {}
-        for i, d in enumerate(dists):
-            rows.setdefault(type(d), []).append(i)
-        self._n = len(dists)
-        self._parts = [
-            (np.array(idx, dtype=np.intp), _BATCHES[t]([dists[i] for i in idx]))
-            for t, idx in rows.items()
-        ]
+        """The columns of a list of variable objects, gathered once."""
+        code = {family: c for c, family in enumerate(_FAMILIES)}
+        kind = np.array([code[type(d)] for d in dists], dtype=np.int8)
+        batches = []
+        for c, family in enumerate(_FAMILIES):
+            members = [dists[i] for i in np.flatnonzero(kind == c).tolist()]
+            batches.append(_BATCHES[family].gather(members) if members else None)
+        self._fill(kind, batches)
+
+    @classmethod
+    def of(cls, kind, batches) -> _Packed:
+        """Columns built already: `kind` and one batch or None per family."""
+        packed = cls.__new__(cls)
+        packed._fill(kind, batches)
+        return packed
+
+    def _fill(self, kind, batches) -> None:
+        self.kind = kind
+        self.batches = batches
+        self._row = np.empty(len(kind), dtype=np.intp)
+        self._parts = []
+        for c, batch in enumerate(batches):
+            if batch is not None:
+                idx = np.flatnonzero(kind == c)
+                self._row[idx] = np.arange(idx.size)
+                self._parts.append((idx, batch))
         # One family needs no scatter; its batch answers in list order.
         self._only = self._parts[0][1] if len(self._parts) == 1 else None
+
+    @property
+    def n(self) -> int:
+        return len(self.kind)
+
+    def take(self, indices) -> _Packed:
+        """The variables at `indices`, in that order, as columns of their own."""
+        kind = self.kind[indices]
+        rows = self._row[indices]
+        batches = []
+        for c, batch in enumerate(self.batches):
+            picked = rows[kind == c]  # empty where the family has no variable
+            batches.append(batch.take(picked) if picked.size else None)
+        return _Packed.of(kind, batches)
+
+    def views(self, indices) -> list[Distribution]:
+        """New scalar objects of the variables at `indices`, in that order."""
+        indices = np.asarray(indices, dtype=np.intp)
+        kind, rows = self.kind[indices], self._row[indices]
+        out: list = [None] * len(indices)
+        for c, batch in enumerate(self.batches):
+            if batch is not None:
+                at = np.flatnonzero(kind == c)
+                for pos, d in zip(at.tolist(), batch.views(rows[at])):
+                    out[pos] = d
+        return out
+
+    def first(self, family: type) -> int | None:
+        """Index of the first variable of a family, or None."""
+        hits = np.flatnonzero(self.kind == _FAMILIES.index(family))
+        return int(hits[0]) if hits.size else None
+
+    def mean(self) -> np.ndarray:
+        """E[X_i] of every variable, as its scalar mean() computes it."""
+        if self._only is not None:
+            return self._only.mean
+        return self._gather([batch.mean for _, batch in self._parts])
 
     def g_value(self, r: float) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -539,7 +706,7 @@ class _Packed:
             return self._gather([batch.survival(r) for _, batch in self._parts])
 
     def _gather(self, values: list[np.ndarray]) -> np.ndarray:
-        out = np.empty(self._n)
+        out = np.empty(self.n)
         for (idx, _), part in zip(self._parts, values):
             out[idx] = part
         return out

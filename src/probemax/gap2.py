@@ -154,5 +154,5 @@ def select_gap2_set(inst: Instance, epsilon: float = 0.05) -> Gap2Result:
         threshold=threshold,
         bound=bound,
         epsilon=float(epsilon),
-        policy=ThresholdPolicy([inst.dists[i] for i in chosen], threshold),
+        policy=ThresholdPolicy(inst._variables(chosen), threshold),
     )

@@ -202,19 +202,18 @@ def build_policy(
     """
     r = sol.r_star
     slots = []  # (survival, tail moment, label, the slot's index in each branch)
-    for i, w in enumerate(sol.psi):
-        if w == 1.0:
-            d = inst.dists[i]
-            slots.append((d.survival(r), d.tail_moment_one(r), i, (i, i)))
+    ones = [i for i, w in enumerate(sol.psi) if w == 1.0]
+    for i, d in zip(ones, inst._variables(ones)):
+        slots.append((d.survival(r), d.tail_moment_one(r), i, (i, i)))
     if sol.frac_pair is not None:
         ell, m = sol.frac_pair
-        w, left, right = sol.psi[ell], inst.dists[ell], inst.dists[m]
+        w, (left, right) = sol.psi[ell], inst._variables(sol.frac_pair)
         surv = w * left.survival(r) + (1.0 - w) * right.survival(r)
         tail = w * left.tail_moment_one(r) + (1.0 - w) * right.tail_moment_one(r)
         slots.append((surv, tail, min(ell, m), (ell, m)))
     slots.sort(key=lambda s: (-(s[1] / s[0]) if s[0] > 0.0 else -0.0, s[2]))
     orders = [tuple(s[3][b] for s in slots) for b in range(1 if sol.frac_pair is None else 2)]
-    return tuple((ThresholdPolicy([inst.dists[i] for i in order], r), order) for order in orders)
+    return tuple((ThresholdPolicy(inst._variables(order), r), order) for order in orders)
 
 
 def derandomize(

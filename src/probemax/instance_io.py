@@ -13,10 +13,10 @@ within a line any whitespace separates tokens.  Blank lines and `#`
 comments are ignored.  Numbers are rendered with repr(), so emit -> parse
 round-trips every float exactly.
 
-Parsing is one pass over the lines plus one batch that checks and builds
-all discrete variables (see parse_instance_text); `gen_instance` builds its
-discrete variables in the same batch, the one `DiscreteFinite(atoms)` runs
-on one row.
+Parsing reads the lines in blocks, converting each block's numbers as it
+goes, and then checks and builds each family's columns in one batch (see
+parse_instance_text); `gen_instance` draws into the same columns.  No
+variable object is made until one is asked for.
 """
 
 from __future__ import annotations
@@ -25,19 +25,18 @@ from array import array
 
 import numpy as np
 
-from .distributions import (
-    DiscreteFinite,
-    Distribution,
-    Exponential,
-    Uniform,
-    _discrete_rows,
-)
+from .distributions import _DiscreteBatch, _ExponentialBatch, _Packed, _UniformBatch
 from .errors import ValidationError
 from .minmax import Instance
 
 GEN_FAMILIES = ("discrete", "uniform", "exponential", "mixed")
 
+#: Characters per block of lines that parse_instance_text reads at a time:
+#: each block's tokens are converted and dropped before the next is read.
+_BLOCK_CHARS = 1 << 20
+
 #: The one layout of each kind's fields, named by the error for any other.
+#: The kinds are in the order of their family codes (distributions._FAMILIES).
 _LAYOUTS = {
     "discrete": "values <v1> ... <vm> probs <p1> ... <pm>",
     "uniform": "a <a> b <b>",
@@ -62,131 +61,206 @@ def _parse_k(tokens: list[str]) -> int:
     raise ValidationError("field 'k': expected one integer")
 
 
+def _numbers(fields, ends) -> tuple[list[np.ndarray], tuple[int, ValidationError] | None]:
+    """Convert the (name, tokens) fields of one kind's rows to float arrays.
+
+    Row j holds each field's tokens up to ends[j].  Each field is converted
+    in one numpy pass, whose str conversion is float()'s.  When a token is
+    not a number, the first row holding one comes back with the error a
+    line-by-line parse gives, which reads a row's fields in order, and the
+    arrays hold the rows before it only.
+    """
+    arrays, bad = [], None
+    for name, tokens in fields:
+        numbers = "".join(tokens)
+        try:
+            if numbers.isascii() and "_" not in numbers:  # as _parse_float checks each token
+                arrays.append(np.array(tokens, dtype=float))
+                continue
+        except ValueError:
+            pass
+        for i, token in enumerate(tokens):  # find the first bad token
+            try:
+                _parse_float(token, name)
+            except ValidationError as exc:
+                row = int(np.searchsorted(ends, i, side="right"))
+                if bad is None or row < bad[0]:
+                    bad = (row, exc)
+                break
+    if bad is None:
+        return arrays, None
+    cut = int(ends[bad[0] - 1]) if bad[0] else 0
+    return [np.array(tokens[:cut], dtype=float) for _, tokens in fields], bad
+
+
+def _blocks(text: str):
+    """The text in blocks of whole lines, each with its line ends made `\\n`.
+
+    Only \\n, \\r\\n and \\r end a line; str.splitlines would also split at
+    \\v, \\f, \\x1c-\\x1e, \\x85, \\u2028 and \\u2029, say inside a comment.  A
+    block stops just before a `\\n`, so no line end spans two blocks.
+    """
+    start = 0
+    while True:
+        end = text.find("\n", start + _BLOCK_CHARS)
+        block = text[start:] if end < 0 else text[start:end].removesuffix("\r")
+        yield block.replace("\r\n", "\n").replace("\r", "\n")
+        if end < 0:
+            return
+        start = end + 1
+
+
 def parse_instance_text(text: str) -> Instance:
     """Parse an instance file, reporting the offending line and field.
 
     Each line is tokenized once and checked against its kind's layout by
-    token position; uniform and exponential variables are built in the
-    scan.  The numbers of the discrete lines are converted in one float
-    pass after the scan, and their variables are checked and built in one
-    batch.  The error raised is the one the first bad line gives, as if
-    lines were parsed one by one: the scan stops at a structure error, and
-    a bad number or atom on an earlier discrete line wins over it.
+    token position.  The lines are read in blocks; after each, every
+    field's number tokens are converted in one float pass and dropped.
+    Each kind's rows are then checked and built as columns in one batch.
+    The error raised is the one the first bad line gives, as if lines were
+    parsed one by one: the scan stops at a structure error or after a
+    block with a bad number, and an earlier bad line wins over either.
     """
     k = None
-    dists: list[Distribution | None] = []
-    slots: list[int] = []  # per batched discrete line: its index in dists,
-    lines: list[int] = []  # its line number,
-    sizes: list[int] = []  # and its atom count
-    value_tokens: list[str] = []
-    prob_tokens: list[str] = []
-    error = None
-    # Only \n, \r\n and \r end a line; str.splitlines would also split at
-    # \v, \f, \x1c-\x1e, \x85, \u2028 and \u2029, say inside a comment.
-    text = text.replace("\r\n", "\n").replace("\r", "\n")
-    for line_no, raw in enumerate(text.split("\n"), start=1):
-        tokens = raw.split("#", 1)[0].split()
-        if not tokens:
-            continue
-        try:
-            if tokens[0] == "k":
-                if k is not None:
-                    raise ValidationError("field 'k' repeated")
-                k = _parse_k(tokens)
-            elif tokens[0] != "dist":
-                raise ValidationError(f"expected 'k' or 'dist', got {tokens[0]!r}")
-            elif len(tokens) == 1:
-                raise ValidationError("field 'kind' missing after 'dist'")
-            elif tokens[1] not in _LAYOUTS:
-                raise ValidationError(f"field 'kind': unknown kind {tokens[1]!r}")
-            elif (
-                tokens[1] == "discrete"
-                and (m := (len(tokens) - 4) // 2) > 0
-                and len(tokens) % 2 == 0
-                and tokens[2] == "values"
-                and tokens[3 + m] == "probs"
-            ):
-                value_tokens += tokens[3:3 + m]
-                prob_tokens += tokens[4 + m:]
-                slots.append(len(dists))
-                lines.append(line_no)
-                sizes.append(m)
-                dists.append(None)
-            elif (
-                tokens[1] == "uniform" and len(tokens) == 6
-                and tokens[2] == "a" and tokens[4] == "b"
-            ):
-                dists.append(Uniform(_parse_float(tokens[3], "a"), _parse_float(tokens[5], "b")))
-            elif tokens[1] == "exponential" and len(tokens) == 4 and tokens[2] == "rate":
-                dists.append(Exponential(_parse_float(tokens[3], "rate")))
-            else:
-                raise ValidationError(f"dist {tokens[1]}: expected {_LAYOUTS[tokens[1]]!r}")
-        except ValidationError as exc:
+    kinds = bytearray()  # per dist line: its kind's index in _LAYOUTS
+    lines = (array("q"), array("q"), array("q"))  # per kind: the line number of each row
+    sizes: list[int] = []  # per discrete row: its atom count
+    values, probs, a, b, rate = [], [], [], [], []  # the block's number tokens, per field
+    fields = ((("values", values), ("probs", probs)), (("a", a), ("b", b)), (("rate", rate),))
+    columns = ([[], []], [[], []], [[]])  # per kind and field: the blocks' float arrays
+    rows = [0, 0, 0]  # per kind: the rows converted, up to the first with a bad number
+    error = None  # the first bad line found, and its error
+
+    def note(line_no: int, exc: ValidationError) -> None:
+        nonlocal error
+        if error is None or line_no < error[0]:
             error = (line_no, exc)
-            break
-    numbers = "".join(value_tokens) + "".join(prob_tokens)
-    plain = numbers.isascii() and "_" not in numbers  # as _parse_float checks each token
-    try:
-        values = np.fromiter(map(float, value_tokens), float, len(value_tokens))
-        probs = np.fromiter(map(float, prob_tokens), float, len(prob_tokens))
-    except ValueError:
-        plain = False
-    if not plain:  # find the first line with a bad number; build the lines before it
-        values, probs = [], []
-        for row, (line_no, m) in enumerate(zip(lines, sizes)):
-            start = len(values)
+
+    blocks = _blocks(text)
+    del text  # the blocks' reference is dropped once they are read
+    line_no = 0
+    for block in blocks:
+        for raw in block.split("\n"):
+            line_no += 1
+            tokens = raw.split("#", 1)[0].split()
+            if not tokens:
+                continue
             try:
-                row_values = [_parse_float(tok, "values") for tok in value_tokens[start:start + m]]
-                row_probs = [_parse_float(tok, "probs") for tok in prob_tokens[start:start + m]]
+                if tokens[0] == "k":
+                    if k is not None:
+                        raise ValidationError("field 'k' repeated")
+                    k = _parse_k(tokens)
+                    continue
+                if tokens[0] != "dist":
+                    raise ValidationError(f"expected 'k' or 'dist', got {tokens[0]!r}")
+                if len(tokens) == 1:
+                    raise ValidationError("field 'kind' missing after 'dist'")
+                if tokens[1] not in _LAYOUTS:
+                    raise ValidationError(f"field 'kind': unknown kind {tokens[1]!r}")
+                if (
+                    tokens[1] == "discrete"
+                    and (m := (len(tokens) - 4) // 2) > 0
+                    and len(tokens) % 2 == 0
+                    and tokens[2] == "values"
+                    and tokens[3 + m] == "probs"
+                ):
+                    values += tokens[3:3 + m]
+                    probs += tokens[4 + m:]
+                    sizes.append(m)
+                    kind = 0
+                elif (
+                    tokens[1] == "uniform" and len(tokens) == 6
+                    and tokens[2] == "a" and tokens[4] == "b"
+                ):
+                    a.append(tokens[3])
+                    b.append(tokens[5])
+                    kind = 1
+                elif tokens[1] == "exponential" and len(tokens) == 4 and tokens[2] == "rate":
+                    rate.append(tokens[3])
+                    kind = 2
+                else:
+                    raise ValidationError(f"dist {tokens[1]}: expected {_LAYOUTS[tokens[1]]!r}")
+                kinds.append(kind)
+                lines[kind].append(line_no)
             except ValidationError as exc:
-                error = (line_no, exc)
-                del sizes[row:]
+                note(line_no, exc)
                 break
-            values += row_values
-            probs += row_probs
-    del value_tokens, prob_tokens, numbers  # the variables take their place in memory
-    if sizes:
+        for kind, kind_fields in enumerate(fields):
+            counts = sizes[rows[kind]:] if kind == 0 else [1] * (len(lines[kind]) - rows[kind])
+            if not counts:
+                continue
+            arrays, bad = _numbers(kind_fields, np.cumsum(counts, dtype=np.intp))
+            for column, part in zip(columns[kind], arrays):
+                column.append(part)
+            for _, tokens in kind_fields:
+                tokens.clear()
+            rows[kind] += len(counts) if bad is None else bad[0]
+            if bad is not None:
+                note(lines[kind][rows[kind]], bad[1])
+        if error is not None:
+            break
+    batches = [None, None, None]
+    for kind, build in enumerate((
+        lambda values, probs: _DiscreteBatch.checked(values, probs, sizes[:rows[0]]),
+        _UniformBatch.checked,
+        _ExponentialBatch.checked,
+    )):
+        if not rows[kind]:
+            continue  # no row to check
+        joined = []
+        for column in columns[kind]:
+            joined.append(np.concatenate(column))
+            column.clear()  # the joined array takes the blocks' place in memory
         try:
-            built = _discrete_rows(values, probs, sizes)
+            batches[kind] = build(*joined)
         except ValidationError as exc:
-            error = (lines[exc.row], exc)
-        else:
-            for slot, d in zip(slots, built):
-                dists[slot] = d
+            note(lines[kind][exc.row], exc)
     if error is not None:
         line_no, exc = error
         raise ValidationError(f"line {line_no}: {exc}") from exc
     if k is None:
         raise ValidationError("field 'k' missing")
-    if not dists:
+    if not kinds:
         raise ValidationError("no 'dist' lines found")
-    return Instance(dists, k)
+    return Instance._of_columns(_Packed.of(np.frombuffer(kinds, dtype=np.int8), batches), k)
 
 
 def parse_instance_file(path: str) -> Instance:
+    # The text goes to the parser with no other reference, so that the
+    # parser can free it once its lines are read (CPython 3.11 and later).
+    return parse_instance_text(_read_text(path))
+
+
+def _read_text(path: str) -> str:
     # Decoded whole, so a decode error's offset counts from the file's start.
     with open(path, "rb") as handle:
         data = handle.read()
     try:
-        text = data.decode("utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: byte {exc.start}: not UTF-8 ({exc.reason})") from None
-    return parse_instance_text(text)
 
 
 def emit_instance(inst: Instance) -> str:
     """Render an instance in the file format with full-precision floats."""
-    lines = [f"k {inst.k}"]
-    for d in inst.dists:
-        if isinstance(d, DiscreteFinite):
-            values = " ".join(repr(v) for v in d.values.tolist())
-            probs = " ".join(repr(p) for p in d.probs.tolist())
-            lines.append(f"dist discrete values {values} probs {probs}")
-        elif isinstance(d, Uniform):
-            lines.append(f"dist uniform a {d.a!r} b {d.b!r}")
-        else:
-            lines.append(f"dist exponential rate {d.rate!r}")
-    return "\n".join(lines) + "\n"
+    discrete, uniform, exponential = inst._packed.batches
+    rows: list[list[str]] = [[], [], []]  # per kind: its lines, in row order
+    if discrete is not None:
+        values = list(map(repr, discrete.values.tolist()))
+        probs = list(map(repr, discrete.probs.tolist()))
+        start = 0
+        for end in np.cumsum(discrete.sizes).tolist():
+            rows[0].append(f"dist discrete values {' '.join(values[start:end])} "
+                           f"probs {' '.join(probs[start:end])}")
+            start = end
+    if uniform is not None:
+        rows[1] = [f"dist uniform a {a!r} b {b!r}"
+                   for a, b in zip(uniform.a.tolist(), uniform.b.tolist())]
+    if exponential is not None:
+        rows[2] = [f"dist exponential rate {rate!r}" for rate in exponential.rate.tolist()]
+    lines = [iter(kind_rows) for kind_rows in rows]
+    body = [next(lines[kind]) for kind in inst._packed.kind.tolist()]
+    return "\n".join([f"k {inst.k}", *body]) + "\n"
 
 
 def _gen_discrete(rng: np.random.Generator) -> tuple[list[float], list[float]]:
@@ -197,20 +271,12 @@ def _gen_discrete(rng: np.random.Generator) -> tuple[list[float], list[float]]:
     return values.tolist(), (weights / weights.sum()).tolist()
 
 
-def _gen_uniform(rng: np.random.Generator) -> Uniform:
-    a = float(rng.uniform(0.0, 5.0))
-    return Uniform(a, a + float(rng.uniform(0.5, 5.0)))
-
-
-def _gen_exponential(rng: np.random.Generator) -> Exponential:
-    return Exponential(float(rng.uniform(0.2, 2.0)))
-
-
 def gen_instance(n: int, k: int, family: str, seed: int) -> Instance:
     """Deterministic random instance of the requested family.
 
     Discrete variables have at most 4 support values drawn from [0, 10];
     `mixed` draws each variable as uniform or exponential with equal odds.
+    The draws go straight into the family columns.
     """
     if family not in GEN_FAMILIES:
         raise ValidationError(f"unknown family {family!r}; expected one of {GEN_FAMILIES}")
@@ -220,6 +286,8 @@ def gen_instance(n: int, k: int, family: str, seed: int) -> Instance:
     if seed < 0:
         raise ValidationError(f"seed {seed!r} must be non-negative")
     rng = np.random.default_rng(seed)
+    kinds = bytearray()
+    batches = [None, None, None]
     if family == "discrete":
         values, probs, sizes = array("d"), array("d"), []  # raw doubles: no float objects
         for _ in range(n):
@@ -227,21 +295,28 @@ def gen_instance(n: int, k: int, family: str, seed: int) -> Instance:
             values.extend(row_values)
             probs.extend(row_probs)
             sizes.append(len(row_values))
-        return Instance(_discrete_rows(values, probs, sizes), k)
-    dists: list[Distribution] = []
-    for _ in range(n):
-        if family == "uniform":
-            dists.append(_gen_uniform(rng))
-        elif family == "exponential":
-            dists.append(_gen_exponential(rng))
-        else:
-            if rng.random() < 0.5:
-                dists.append(_gen_uniform(rng))
+        kinds = bytes(len(sizes))
+        batches[0] = _DiscreteBatch.checked(values, probs, sizes)
+    else:
+        a, b, rate = array("d"), array("d"), array("d")
+        for _ in range(n):
+            if family == "uniform" or (family == "mixed" and rng.random() < 0.5):
+                lo = float(rng.uniform(0.0, 5.0))
+                a.append(lo)
+                b.append(lo + float(rng.uniform(0.5, 5.0)))
+                kinds.append(1)
             else:
-                dists.append(_gen_exponential(rng))
-    return Instance(dists, k)
+                rate.append(float(rng.uniform(0.2, 2.0)))
+                kinds.append(2)
+        if a:
+            batches[1] = _UniformBatch.checked(np.array(a), np.array(b))
+        if rate:
+            batches[2] = _ExponentialBatch.checked(np.array(rate))
+    return Instance._of_columns(_Packed.of(np.frombuffer(kinds, dtype=np.int8), batches), k)
 
 
 def iid_uniform01(n: int, k: int) -> Instance:
     """n independent Uniform(0, 1) variables; the closed-form anchor family."""
-    return Instance([Uniform(0.0, 1.0) for _ in range(n)], k)
+    n = max(n, 0)
+    batch = _UniformBatch(np.zeros(n), np.ones(n))
+    return Instance._of_columns(_Packed.of(np.ones(n, dtype=np.int8), [None, batch, None]), k)

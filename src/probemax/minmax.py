@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .distributions import _BATCHES, Distribution, _Packed
+from .distributions import _BATCHES, DiscreteFinite, Distribution, _Packed
 from .errors import ValidationError
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi, golden-section shrink factor
@@ -31,45 +31,73 @@ INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi, golden-section shrink factor
 RHO_TOL_SCALE = 1e-12
 
 
-@dataclass(frozen=True)
 class Instance:
-    """n independent variables of the three families plus the probe budget k."""
+    """n independent variables of the three families plus the probe budget k.
 
-    dists: tuple[Distribution, ...]
-    k: int
+    The variables are held as columns, one set per family plus the index
+    map (see distributions._Packed), which the envelope layers read.  The
+    scalar objects are views of those columns, made on demand: `dists`
+    builds all of them on first read, and `_variables` only the ones it is
+    asked for.  An instance made from objects keeps them as its `dists`.
+    """
 
     def __init__(self, dists: Sequence[Distribution], k: int) -> None:
         dists = tuple(dists)
-        if not dists:
-            raise ValidationError("instance needs at least one distribution")
-        if not isinstance(k, int) or isinstance(k, bool):
-            raise ValidationError(f"budget k={k!r} must be an integer")
-        if not 1 <= k <= len(dists):
-            raise ValidationError(f"budget k={k} must satisfy 1 <= k <= n={len(dists)}")
+        _check_budget(k, len(dists))
         if not set(map(type, dists)).issubset(_BATCHES):
             i, d = next((i, d) for i, d in enumerate(dists) if type(d) not in _BATCHES)
             raise ValidationError(f"variable {i} is a {type(d).__name__}, "
                                   "not a DiscreteFinite, Uniform or Exponential")
-        mu_max = max(d.mean() for d in dists)
+        self._fill(_Packed(dists), k)
+        self.__dict__["dists"] = dists
+
+    @classmethod
+    def _of_columns(cls, packed: _Packed, k: int) -> Instance:
+        """An instance of columns built and checked already."""
+        _check_budget(k, packed.n)
+        inst = cls.__new__(cls)
+        inst._fill(packed, k)
+        return inst
+
+    def _fill(self, packed: _Packed, k: int) -> None:
+        mu_max = float(packed.mean().max())
         if mu_max <= 0.0:
             raise ValidationError("all-zero instance rejected: max mean must be positive")
-        object.__setattr__(self, "dists", dists)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "_mu_max", mu_max)
+        self._packed, self._k, self._mu_max = packed, k, mu_max
+        self._views: dict[int, Distribution] = {}
 
     @cached_property
-    def _packed(self) -> _Packed:
-        """The variables packed by family, built on first use."""
-        return _Packed(self.dists)
+    def dists(self) -> tuple[Distribution, ...]:
+        """The variables as scalar objects, made on first read."""
+        return tuple(self._variables(range(self.n)))
+
+    def _variables(self, indices: Iterable[int]) -> list[Distribution]:
+        """The scalar objects of the variables at `indices`, in that order.
+
+        Each is made once, on its first request, so no more are made than
+        are asked for.
+        """
+        if "dists" in self.__dict__:
+            return [self.dists[i] for i in indices]
+        indices = list(indices)
+        views = self._views
+        missing = [i for i in indices if i not in views]
+        if missing:
+            views.update(zip(missing, self._packed.views(missing)))
+        return [views[i] for i in indices]
 
     @cached_property
     def _first_discontinuous(self) -> int | None:
         """Index of the first variable with a discontinuous CDF, or None."""
-        return next((i for i, d in enumerate(self.dists) if not d.is_continuous), None)
+        return self._packed.first(DiscreteFinite)
 
     @property
     def n(self) -> int:
-        return len(self.dists)
+        return self._packed.n
+
+    @property
+    def k(self) -> int:
+        return self._k
 
     @property
     def mu_max(self) -> float:
@@ -77,6 +105,21 @@ class Instance:
 
     def subset(self, indices: Iterable[int]) -> tuple[int, ...]:
         return check_subset(indices, self.n)
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Instance) and (self.k, self.dists) == (other.k, other.dists)
+
+    def __repr__(self) -> str:
+        return f"Instance(dists={self.dists!r}, k={self.k!r})"
+
+
+def _check_budget(k: int, n: int) -> None:
+    if not n:
+        raise ValidationError("instance needs at least one distribution")
+    if not isinstance(k, int) or isinstance(k, bool):
+        raise ValidationError(f"budget k={k!r} must be an integer")
+    if not 1 <= k <= n:
+        raise ValidationError(f"budget k={k} must satisfy 1 <= k <= n={n}")
 
 
 def check_subset(indices: Iterable[int], n: int) -> tuple[int, ...]:
@@ -194,9 +237,9 @@ def rho(inst: Instance, subset: Iterable[int]) -> float:
     idx = inst.subset(subset)
     if not idx:
         raise ValidationError("empty subset has no root threshold")
-    members = [inst.dists[i] for i in idx]
+    packed = inst._packed.take(np.array(idx, dtype=np.intp))
     try:
-        mu_sum = math.fsum(d.mean() for d in members)
+        mu_sum = math.fsum(packed.mean().tolist())
     except OverflowError:
         raise ValidationError(
             "mean sum of the subset overflows; "
@@ -205,7 +248,6 @@ def rho(inst: Instance, subset: Iterable[int]) -> float:
     if mu_sum <= 0.0:
         raise ValidationError("subset with zero total mean has root 0 and no guarantee")
     tol = RHO_TOL_SCALE * mu_sum
-    packed = _Packed(members)
     lo, hi = 0.0, mu_sum
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
@@ -221,7 +263,7 @@ def rho(inst: Instance, subset: Iterable[int]) -> float:
 def h_derivative_continuous(inst: Instance, r: float, subset: Iterable[int]) -> float:
     """d/dr H(r, S) = 1 - sum_{i in S} P(X_i >= r) for continuous members."""
     idx = inst.subset(subset)
-    for i in idx:
-        if not inst.dists[i].is_continuous:
+    for i, d in zip(idx, inst._variables(idx)):
+        if not d.is_continuous:
             raise ValidationError(f"variable {i} has a discontinuous CDF; derivative undefined")
     return 1.0 - math.fsum(inst._packed.survival(r)[list(idx)].tolist())

@@ -17,6 +17,7 @@ import re
 import tracemalloc
 import warnings
 from itertools import accumulate
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from hypothesis import strategies as st
 from probemax import DiscreteFinite, Exponential, Instance, ProbemaxError, Uniform
 from probemax.distributions import PROB_SUM_TOL
 from probemax.errors import ValidationError
+from probemax import instance_io
 from probemax.instance_io import gen_instance, parse_instance_text
 from test_cli import FILE_LINES, LAYOUTS
 
@@ -197,13 +199,28 @@ def test_fuzzed_text_gives_the_reference_outcome(lines):
     assert_same_parse("\n".join(lines))
 
 
+@SETTINGS
+@given(st.lists(st.one_of(FILE_LINES, discrete_lines(), st.just("k 2")), max_size=8),
+       st.lists(st.sampled_from(("\n", "\r\n", "\r", "\n\n", "\r\r\n")), min_size=1),
+       st.integers(1, 60))
+@example(["k 1", "dist uniform a 0 b 1", "dist uniform a x b 1", "dist discrete values -1 probs 1"],
+         ["\r\n"], 18)
+def test_blocks_of_any_size_give_the_reference_outcome(lines, ends, block_chars):
+    """The parser reads lines in blocks; no block edge moves a line or an error."""
+    text = "".join(line + ends[i % len(ends)] for i, line in enumerate(lines))
+    with mock.patch.object(instance_io, "_BLOCK_CHARS", block_chars):
+        assert_same_parse(text)
+
+
 VALID = ("dist uniform a 0 b 1", "dist exponential rate 2",
          "dist discrete values 0 1 probs 0.5 0.5", "dist discrete values 3 probs 1")
 EARLY = ("dist discrete values x probs 1", "dist discrete values -1 probs 1",
          "dist discrete values 1 2 probs 0.5 0.4", "dist discrete values 1 probs 1.5",
          "dist discrete values inf probs 1", "dist discrete values 1 probs nan",
          "dist discrete values 1 2 probs 1 x", "dist exponential rate 5e-324",
-         "dist discrete values 1_0 probs 1", "dist discrete values 1 probs \uff11")
+         "dist discrete values 1_0 probs 1", "dist discrete values 1 probs \uff11",
+         "dist uniform a 1 b nan", "dist uniform a x b 1", "dist uniform a 1e308 b 1.7e308",
+         "dist exponential rate -2", "dist exponential rate 1_0")
 LATE = ("dist uniform 0 b 1", "dist discrete values 1 probs", "dist", "var 1", "k 3",
         "dist discrete values 1 2 probs 1", "dist gaussian mu 0",
         "dist discrete values 1 values 2 probs 1", "dist uniform a 2 b 1",

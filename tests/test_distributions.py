@@ -432,3 +432,20 @@ class TestUniformTinyScale:
         assert tiny.g_value(r * 1e-200) == pytest.approx(unit.g_value(r) * 1e-200, rel=1e-14)
         assert tiny.tail_moment_one(r * 1e-200) == pytest.approx(
             unit.tail_moment_one(r) * 1e-200, rel=1e-14)
+
+
+@pytest.mark.parametrize("d", [point_mass(2.0), Uniform(0, 1), Exponential(1.0)],
+                         ids=["discrete", "uniform", "exponential"])
+@pytest.mark.parametrize("sign", [1, -1], ids=["above", "below"])
+def test_oracles_take_an_int_beyond_the_float_range(d, sign):
+    """10**400 does not fit a float; the oracles read it as +-inf."""
+    r = sign * 10**400
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if sign > 0:
+            assert (d.survival(r), d.tail_moment_one(r), d.g_value(r)) == (0.0, 0.0, 0.0)
+            with pytest.raises(ValidationError, match=r"^P\(X >= inf\) = 0, "):
+                d.cond_exp_ge(r)
+        else:
+            assert (d.survival(r), d.tail_moment_one(r), d.g_value(r)) == (1.0, d.mean(), math.inf)
+            assert d.cond_exp_ge(r) == d.mean()

@@ -1,8 +1,10 @@
 """The packed oracles equal the scalar methods bit for bit, on every host.
 
-``Instance`` packs its variables by family, so that G_i(r) and
+``Instance`` holds its variables as columns by family, so that G_i(r) and
 P(X_i >= r) of all n variables cost one numpy pass per family; ``rho``
-packs its subset the same way.  The scalar ``Distribution`` methods are the
+gathers its subset's rows of those columns.  The parser and
+``gen_instance`` build the columns directly, and a scalar variable object
+is a view made on demand.  The scalar ``Distribution`` methods are the
 reference: every packed value must carry the same bits, and the packed code
 must stay silent wherever the scalar arithmetic is.
 
@@ -14,6 +16,7 @@ AVX-512 dispatch off (``NPY_DISABLE_CPU_FEATURES``, set in the child's
 environment only).
 """
 
+import gc
 import json
 import math
 import os
@@ -31,9 +34,9 @@ from hypothesis import strategies as st
 import probemax
 from probemax import DiscreteFinite, Exponential, Instance, Uniform
 from probemax.distributions import _Packed
-from probemax.gap2 import TIE_TOL, TieClass, tie_class_at
+from probemax.gap2 import TIE_TOL, TieClass, select_gap2_set, tie_class_at
 from probemax.gap_continuous import CONT_TIE_TOL
-from probemax.instance_io import gen_instance, parse_instance_text
+from probemax.instance_io import emit_instance, gen_instance, parse_instance_text
 from probemax.minmax import RHO_TOL_SCALE, g_values, h_max, rho
 
 SETTINGS = settings(max_examples=300, deadline=None)
@@ -266,3 +269,97 @@ def test_envelopes_and_tie_classes_do_not_depend_on_simd_dispatch():
     without = run_child({"NPY_DISABLE_CPU_FEATURES": NO_AVX512})
     assert with_avx512.pop("x86_v4") and not without.pop("x86_v4")
     assert with_avx512 == without
+
+
+def reference_draws(n: int, family: str, seed: int) -> list:
+    """gen_instance's variables, drawn in its order and built one at a time."""
+    rng = np.random.default_rng(seed)
+    dists = []
+    for _ in range(n):
+        if family == "discrete":
+            size = int(rng.integers(1, 5))
+            values = rng.uniform(0.0, 10.0, size)
+            weights = rng.integers(1, 11, size).astype(float)
+            dists.append(DiscreteFinite(zip(values.tolist(), (weights / weights.sum()).tolist())))
+        elif family == "uniform" or (family == "mixed" and rng.random() < 0.5):
+            a = float(rng.uniform(0.0, 5.0))
+            dists.append(Uniform(a, a + float(rng.uniform(0.5, 5.0))))
+        else:
+            dists.append(Exponential(float(rng.uniform(0.2, 2.0))))
+    return dists
+
+
+def dist_line(d) -> str:
+    """The file line of one variable, written without probemax.instance_io."""
+    if isinstance(d, Uniform):
+        return f"dist uniform a {d.a!r} b {d.b!r}"
+    if isinstance(d, Exponential):
+        return f"dist exponential rate {d.rate!r}"
+    return ("dist discrete values " + " ".join(map(repr, d.values.tolist()))
+            + " probs " + " ".join(map(repr, d.probs.tolist())))
+
+
+def fields(d) -> tuple:
+    """The type, repr and every stored float of a variable, floats as hex."""
+    if isinstance(d, DiscreteFinite):
+        floats = [x for a in (d.values, d.probs, *d._tails) for x in a.tolist()]
+    else:
+        floats = [d.a, d.b] if isinstance(d, Uniform) else [d.rate]
+        assert {type(x) for x in floats} == {float}
+    return type(d), repr(d), [x.hex() for x in floats]
+
+
+def assert_columns_match(inst: Instance, reference: list) -> None:
+    """Columns against the scalar objects of `reference`, bit for bit."""
+    assert inst.n == len(reference)
+    assert inst.mu_max.hex() == max(d.mean() for d in reference).hex()
+    assert inst._first_discontinuous == next(
+        (i for i, d in enumerate(reference) if not d.is_continuous), None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for r in probe_points(reference):
+            assert_same_bits(g_values(inst, r), [d.g_value(r) for d in reference], r)
+            assert_same_bits(inst._packed.survival(r), [d.survival(r) for d in reference], r)
+    assert [fields(d) for d in inst.dists] == [fields(d) for d in reference]
+    assert inst.dists == tuple(reference)
+
+
+GEN_FAMILIES = ("discrete", "uniform", "exponential", "mixed")
+
+
+@pytest.mark.parametrize("family", GEN_FAMILIES)
+def test_generated_columns_equal_objects_built_one_at_a_time(family):
+    reference = reference_draws(70, family, 5)
+    assert_columns_match(gen_instance(70, 7, family, 5), reference)
+
+
+@pytest.mark.parametrize("family", GEN_FAMILIES + ("shuffled",))
+def test_parsed_columns_equal_objects_built_one_at_a_time(family):
+    """The shuffled file interleaves all three families in a seeded order."""
+    if family == "shuffled":
+        reference = [d for f in GEN_FAMILIES[:3] for d in reference_draws(30, f, 6)]
+        reference += parse_instance_text(SHARED_TEXT).dists
+        order = np.random.default_rng(6).permutation(len(reference)).tolist()
+        reference = [reference[i] for i in order]
+    else:
+        reference = reference_draws(70, family, 6)
+    text = "k 5\n" + "\n".join(map(dist_line, reference)) + "\n"
+    inst = parse_instance_text(text)
+    assert_columns_match(inst, reference)
+    assert rho(inst, range(0, inst.n, 3)).hex() == scalar_rho(inst, list(range(0, inst.n, 3))).hex()
+
+
+def test_gap2_on_a_large_file_makes_at_most_k_variable_objects():
+    """Parse and select_gap2_set read the columns; only the chosen set is made."""
+    text = emit_instance(gen_instance(10_000, 1000, "discrete", 23))
+
+    def count() -> int:
+        return sum(isinstance(o, probemax.distributions.Distribution) for o in gc.get_objects())
+
+    before = count()
+    inst = parse_instance_text(text)
+    result = select_gap2_set(inst, 0.05)
+    made = count() - before
+    assert 1 <= made <= inst.k
+    assert result.policy.entries == tuple(inst._variables(result.chosen))
+    assert count() - before == made  # asking again makes none
