@@ -609,6 +609,8 @@ class _DiscreteBatch:
 #: The families in the order of their codes in _Packed.kind, with their batches.
 _FAMILIES = (DiscreteFinite, Uniform, Exponential)
 _BATCHES = {DiscreteFinite: _DiscreteBatch, Uniform: _UniformBatch, Exponential: _ExponentialBatch}
+#: DiscreteFinite's code in _Packed.kind: the one family whose CDF jumps.
+_DISCRETE = _FAMILIES.index(DiscreteFinite)
 
 
 class _Packed:
@@ -626,24 +628,8 @@ class _Packed:
     is silent on both.
     """
 
-    def __init__(self, dists) -> None:
-        """The columns of a list of variable objects, gathered once."""
-        code = {family: c for c, family in enumerate(_FAMILIES)}
-        kind = np.array([code[type(d)] for d in dists], dtype=np.int8)
-        batches = []
-        for c, family in enumerate(_FAMILIES):
-            members = [dists[i] for i in np.flatnonzero(kind == c).tolist()]
-            batches.append(_BATCHES[family].gather(members) if members else None)
-        self._fill(kind, batches)
-
-    @classmethod
-    def of(cls, kind, batches) -> _Packed:
+    def __init__(self, kind, batches) -> None:
         """Columns built already: `kind` and one batch or None per family."""
-        packed = cls.__new__(cls)
-        packed._fill(kind, batches)
-        return packed
-
-    def _fill(self, kind, batches) -> None:
         self.kind = kind
         self.batches = batches
         self._row = np.empty(len(kind), dtype=np.intp)
@@ -655,6 +641,25 @@ class _Packed:
                 self._parts.append((idx, batch))
         # One family needs no scatter; its batch answers in list order.
         self._only = self._parts[0][1] if len(self._parts) == 1 else None
+
+    @classmethod
+    def gather(cls, dists) -> _Packed:
+        """The columns of a sequence of variable objects, which they do not reference.
+
+        Raises ValidationError for the first variable whose exact type is
+        not one of _FAMILIES.
+        """
+        code = {family: c for c, family in enumerate(_FAMILIES)}
+        kind = np.array([code.get(type(d), -1) for d in dists], dtype=np.int8)
+        if (kind < 0).any():
+            i = int((kind < 0).argmax())
+            raise ValidationError(f"variable {i} is a {type(dists[i]).__name__}, "
+                                  "not a DiscreteFinite, Uniform or Exponential")
+        batches = []
+        for c, family in enumerate(_FAMILIES):
+            members = [dists[i] for i in np.flatnonzero(kind == c).tolist()]
+            batches.append(_BATCHES[family].gather(members) if members else None)
+        return cls(kind, batches)
 
     @property
     def n(self) -> int:
@@ -668,7 +673,7 @@ class _Packed:
         for c, batch in enumerate(self.batches):
             picked = rows[kind == c]  # empty where the family has no variable
             batches.append(batch.take(picked) if picked.size else None)
-        return _Packed.of(kind, batches)
+        return _Packed(kind, batches)
 
     def views(self, indices) -> list[Distribution]:
         """New scalar objects of the variables at `indices`, in that order."""
@@ -681,11 +686,6 @@ class _Packed:
                 for pos, d in zip(at.tolist(), batch.views(rows[at])):
                     out[pos] = d
         return out
-
-    def first(self, family: type) -> int | None:
-        """Index of the first variable of a family, or None."""
-        hits = np.flatnonzero(self.kind == _FAMILIES.index(family))
-        return int(hits[0]) if hits.size else None
 
     def mean(self) -> np.ndarray:
         """E[X_i] of every variable, as its scalar mean() computes it."""

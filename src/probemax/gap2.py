@@ -21,7 +21,6 @@ import numpy as np
 
 from .errors import GuaranteeViolation, ValidationError
 from .minmax import BoundResult, Instance, g_values, minimize_hmax, rho
-from .policy_eval import ThresholdPolicy
 
 #: Tolerance for declaring two tail moments tied at an anchor point, relative
 #: to mu_max.  Exact closed-form oracles make genuine ties representable; this
@@ -88,8 +87,9 @@ def tie_class_at(inst: Instance, r_anchor: float, tol: float = TIE_TOL) -> TieCl
 class Gap2Result:
     """The two candidate sets, their root thresholds, and the winner.
 
-    `policy` inspects the chosen set in ascending index order and accepts
-    the first sample >= threshold; the guarantee holds for any order.
+    The stopping policy over the chosen set,
+    ThresholdPolicy([inst.dists[i] for i in chosen], threshold), earns at
+    least `threshold` in expectation under any inspection order.
     """
 
     s_tilde_plus: tuple[int, ...]
@@ -100,7 +100,6 @@ class Gap2Result:
     threshold: float
     bound: BoundResult
     epsilon: float
-    policy: ThresholdPolicy
 
 
 def check_epsilon(epsilon: float) -> None:
@@ -154,5 +153,4 @@ def select_gap2_set(inst: Instance, epsilon: float = 0.05) -> Gap2Result:
         threshold=threshold,
         bound=bound,
         epsilon=float(epsilon),
-        policy=ThresholdPolicy(inst._variables(chosen), threshold),
     )

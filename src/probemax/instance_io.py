@@ -21,6 +21,7 @@ variable object is made until one is asked for.
 
 from __future__ import annotations
 
+import numbers
 from array import array
 
 import numpy as np
@@ -222,7 +223,7 @@ def parse_instance_text(text: str) -> Instance:
         raise ValidationError("field 'k' missing")
     if not kinds:
         raise ValidationError("no 'dist' lines found")
-    return Instance._of_columns(_Packed.of(np.frombuffer(kinds, dtype=np.int8), batches), k)
+    return Instance._of_columns(_Packed(np.frombuffer(kinds, dtype=np.int8), batches), k)
 
 
 def parse_instance_file(path: str) -> Instance:
@@ -281,7 +282,7 @@ def gen_instance(n: int, k: int, family: str, seed: int) -> Instance:
     if family not in GEN_FAMILIES:
         raise ValidationError(f"unknown family {family!r}; expected one of {GEN_FAMILIES}")
     for name, value in (("n", n), ("seed", seed)):
-        if not isinstance(value, int) or isinstance(value, bool):
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
             raise ValidationError(f"{name}={value!r} must be an integer")
     if seed < 0:
         raise ValidationError(f"seed {seed!r} must be non-negative")
@@ -312,11 +313,11 @@ def gen_instance(n: int, k: int, family: str, seed: int) -> Instance:
             batches[1] = _UniformBatch.checked(np.array(a), np.array(b))
         if rate:
             batches[2] = _ExponentialBatch.checked(np.array(rate))
-    return Instance._of_columns(_Packed.of(np.frombuffer(kinds, dtype=np.int8), batches), k)
+    return Instance._of_columns(_Packed(np.frombuffer(kinds, dtype=np.int8), batches), k)
 
 
 def iid_uniform01(n: int, k: int) -> Instance:
     """n independent Uniform(0, 1) variables; the closed-form anchor family."""
     n = max(n, 0)
     batch = _UniformBatch(np.zeros(n), np.ones(n))
-    return Instance._of_columns(_Packed.of(np.ones(n, dtype=np.int8), [None, batch, None]), k)
+    return Instance._of_columns(_Packed(np.ones(n, dtype=np.int8), [None, batch, None]), k)

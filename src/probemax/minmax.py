@@ -16,13 +16,14 @@ every member of S is continuous.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .distributions import _BATCHES, DiscreteFinite, Distribution, _Packed
+from .distributions import _DISCRETE, Distribution, _Packed
 from .errors import ValidationError
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi, golden-section shrink factor
@@ -35,35 +36,29 @@ class Instance:
     """n independent variables of the three families plus the probe budget k.
 
     The variables are held as columns, one set per family plus the index
-    map (see distributions._Packed), which the envelope layers read.  The
-    scalar objects are views of those columns, made on demand: `dists`
-    builds all of them on first read, and `_variables` only the ones it is
-    asked for.  An instance made from objects keeps them as its `dists`.
+    map (see distributions._Packed), which the envelope layers read; an
+    instance made from objects gathers their columns and keeps no reference
+    to them.  The scalar objects are views of those columns, made on
+    demand: `dists` builds all of them on first read, and `_variables` only
+    the ones it is asked for.
     """
 
     def __init__(self, dists: Sequence[Distribution], k: int) -> None:
-        dists = tuple(dists)
-        _check_budget(k, len(dists))
-        if not set(map(type, dists)).issubset(_BATCHES):
-            i, d = next((i, d) for i, d in enumerate(dists) if type(d) not in _BATCHES)
-            raise ValidationError(f"variable {i} is a {type(d).__name__}, "
-                                  "not a DiscreteFinite, Uniform or Exponential")
-        self._fill(_Packed(dists), k)
-        self.__dict__["dists"] = dists
+        self._fill(_Packed.gather(tuple(dists)), k)
 
     @classmethod
     def _of_columns(cls, packed: _Packed, k: int) -> Instance:
         """An instance of columns built and checked already."""
-        _check_budget(k, packed.n)
         inst = cls.__new__(cls)
         inst._fill(packed, k)
         return inst
 
     def _fill(self, packed: _Packed, k: int) -> None:
+        _check_budget(k, packed.n)
         mu_max = float(packed.mean().max())
         if mu_max <= 0.0:
             raise ValidationError("all-zero instance rejected: max mean must be positive")
-        self._packed, self._k, self._mu_max = packed, k, mu_max
+        self._packed, self._k, self._mu_max = packed, int(k), mu_max
         self._views: dict[int, Distribution] = {}
 
     @cached_property
@@ -77,8 +72,6 @@ class Instance:
         Each is made once, on its first request, so no more are made than
         are asked for.
         """
-        if "dists" in self.__dict__:
-            return [self.dists[i] for i in indices]
         indices = list(indices)
         views = self._views
         missing = [i for i in indices if i not in views]
@@ -89,7 +82,8 @@ class Instance:
     @cached_property
     def _first_discontinuous(self) -> int | None:
         """Index of the first variable with a discontinuous CDF, or None."""
-        return self._packed.first(DiscreteFinite)
+        hits = np.flatnonzero(self._packed.kind == _DISCRETE)
+        return int(hits[0]) if hits.size else None
 
     @property
     def n(self) -> int:
@@ -116,7 +110,7 @@ class Instance:
 def _check_budget(k: int, n: int) -> None:
     if not n:
         raise ValidationError("instance needs at least one distribution")
-    if not isinstance(k, int) or isinstance(k, bool):
+    if not isinstance(k, numbers.Integral) or isinstance(k, bool):
         raise ValidationError(f"budget k={k!r} must be an integer")
     if not 1 <= k <= n:
         raise ValidationError(f"budget k={k} must satisfy 1 <= k <= n={n}")
@@ -187,7 +181,8 @@ def minimize_hmax(inst: Instance, xi_target: float) -> BoundResult:
     ValidationError when the bracket or the bound overflows to a non-finite
     value.
     """
-    if not (isinstance(xi_target, (int, float)) and math.isfinite(xi_target)) or xi_target <= 0.0:
+    if (isinstance(xi_target, bool) or not isinstance(xi_target, numbers.Real)
+            or not math.isfinite(xi_target) or xi_target <= 0.0):
         raise ValidationError(f"xi_target={xi_target!r} must be a positive real")
     lo, hi = 0.0, inst.n * inst.mu_max
     if not math.isfinite(hi):
@@ -262,8 +257,9 @@ def rho(inst: Instance, subset: Iterable[int]) -> float:
 
 def h_derivative_continuous(inst: Instance, r: float, subset: Iterable[int]) -> float:
     """d/dr H(r, S) = 1 - sum_{i in S} P(X_i >= r) for continuous members."""
-    idx = inst.subset(subset)
-    for i, d in zip(idx, inst._variables(idx)):
-        if not d.is_continuous:
-            raise ValidationError(f"variable {i} has a discontinuous CDF; derivative undefined")
-    return 1.0 - math.fsum(inst._packed.survival(r)[list(idx)].tolist())
+    idx = list(inst.subset(subset))
+    jumps = np.flatnonzero(inst._packed.kind[idx] == _DISCRETE)
+    if jumps.size:
+        raise ValidationError(
+            f"variable {idx[jumps[0]]} has a discontinuous CDF; derivative undefined")
+    return 1.0 - math.fsum(inst._packed.survival(r)[idx].tolist())

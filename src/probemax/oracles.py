@@ -15,7 +15,7 @@ from itertools import combinations, islice
 
 import numpy as np
 
-from .distributions import DiscreteFinite
+from .distributions import _DISCRETE, DiscreteFinite
 from .errors import InstanceTooLarge, ValidationError
 from .minmax import Instance
 from .policy_eval import _expected_maxima
@@ -29,9 +29,9 @@ _BLOCK_CELLS = 1 << 16
 
 
 def _require_discrete(inst: Instance) -> tuple[DiscreteFinite, ...]:
-    for i, d in enumerate(inst.dists):
-        if not isinstance(d, DiscreteFinite):
-            raise ValidationError(f"variable {i} is not finite discrete")
+    others = np.flatnonzero(inst._packed.kind != _DISCRETE)
+    if others.size:
+        raise ValidationError(f"variable {others[0]} is not finite discrete")
     return inst.dists
 
 

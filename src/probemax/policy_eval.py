@@ -14,8 +14,8 @@ closed form thanks to independence:
 One pass over the entries gives them all in O(k).  P(B_{<i} >= 1) is kept
 as a running sum of non-negative terms, never as 1 - prod(1 - p_j): when
 every p is tiny that difference cancels and loses about half the digits.
-`bernoulli_count_pmf`, the exact O(k^2) pmf of B, is no longer on this path;
-it stays as the reference the tests check these sums against.
+`bernoulli_count_pmf`, the exact pmf of B, stays as the reference the tests
+check these sums against.
 
 The Monte-Carlo path exists to cross-check the analytic one.  It draws one
 uniform per entry and trial from a single Philox stream keyed by the seed,
@@ -31,6 +31,7 @@ single cost.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Sequence
 
@@ -105,9 +106,7 @@ def evaluate(policy: ThresholdPolicy) -> PolicyStats:
     keeps its relative accuracy at any scale of p.  Each entry adds
     p_i * hit to E[(B-1)^+].  P(B >= 1) is `hit` while hit < 0.5 and
     1 - miss above, where miss <= 0.5 leaves that difference nothing to
-    cancel; it never exceeds 1.  This pass replaces the O(k^2)
-    `bernoulli_count_pmf`, which stays public as the exact reference the
-    tests compare it with.
+    cancel; it never exceeds 1.
     """
     r = policy.threshold
     ps = [d.survival(r) for d in policy.entries]
@@ -151,8 +150,9 @@ def simulate(policy: ThresholdPolicy, trials: int, seed: int) -> SimResult:
     per-trial reward divided by sqrt(trials).
     """
     for name, value in (("trials", trials), ("seed", seed)):
-        if not isinstance(value, int) or isinstance(value, bool):
+        if not isinstance(value, numbers.Integral) or isinstance(value, bool):
             raise ValidationError(f"{name}={value!r} must be an integer")
+    trials, seed = int(trials), int(seed)
     if trials < 1:
         raise ValidationError(f"trials={trials!r} must be at least 1")
     if not 0 <= seed < 2**128:

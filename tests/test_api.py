@@ -1,7 +1,11 @@
-"""The public API is exactly the README's "Library API" table."""
+"""The public API is exactly the README's "Library API" table, and its quick start runs."""
 
+import contextlib
+import io
 import re
 from pathlib import Path
+
+import pytest
 
 import probemax
 
@@ -21,3 +25,35 @@ def test_all_matches_the_readme_table():
 def test_every_listed_name_resolves():
     for name in readme_api_names():
         assert getattr(probemax, name).__name__ == name
+
+
+def readme_quick_start() -> str:
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Library quick start", 1)[1].split("\n## ", 1)[0]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_quick_start_prints_what_its_comments_say():
+    """Each print line's output matches its comment.
+
+    A comment `# x = ...` that starts with a number asks for that number
+    within 1e-8 relative; one with `...` asks for the text before it as a
+    prefix of the output.
+    """
+    code = readme_quick_start()
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(code, "README.md", "exec"), {})
+    printed = out.getvalue().splitlines()
+    comments = [line.partition("# ")[2] for line in code.splitlines()
+                if line.startswith("print(")]
+    assert len(printed) == len(comments)
+    checked = 0
+    for line, comment in zip(printed, comments):
+        if number := re.match(r"([0-9.]+) = ", comment):
+            assert float(line) == pytest.approx(float(number[1]), rel=1e-8, abs=0.0)
+            checked += 1
+        elif "..." in comment:
+            assert line.startswith(comment.split("...", 1)[0])
+            checked += 1
+    assert checked >= 4

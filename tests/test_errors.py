@@ -12,11 +12,13 @@ call's last bits differ from host to host.
 import ast
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from probemax import (
     DiscreteFinite,
     Instance,
+    ThresholdPolicy,
     Uniform,
     ValidationError,
     adaptive_optimum_dp,
@@ -26,6 +28,7 @@ from probemax import (
     point_mass,
     rho,
     select_gap2_set,
+    simulate,
     solve_continuous,
     static_optimum_enum,
 )
@@ -181,6 +184,28 @@ def test_rejected_input_is_a_validation_error(site):
         call()
     assert type(info.value) is cls
     assert str(info.value) == message
+
+
+#: Entry point -> call with that integer argument set to its parameter.
+INTEGER_ARGS = {
+    "Instance.k": lambda v: Instance([Uniform(0, 1), COIN], v),
+    "minimize_hmax.xi_target": lambda v: minimize_hmax(TWO_UNIFORM, v),
+    "gen_instance.n": lambda v: gen_instance(v, 1, "mixed", 3),
+    "gen_instance.seed": lambda v: gen_instance(4, 2, "mixed", v),
+    "simulate.trials": lambda v: simulate(ThresholdPolicy([COIN], 0.5), v, 5),
+    "simulate.seed": lambda v: simulate(ThresholdPolicy([COIN], 0.5), 100, v),
+}
+
+
+@pytest.mark.parametrize("value", [np.int64(1), np.int32(1), True], ids=repr)
+@pytest.mark.parametrize("site", list(INTEGER_ARGS))
+def test_integer_arguments_take_numpy_integers_but_not_bool(site, value):
+    call = INTEGER_ARGS[site]
+    if isinstance(value, bool):
+        with pytest.raises(ValidationError, match="=True must be"):
+            call(value)
+    else:
+        assert call(value) == call(1)
 
 
 def raised_names(tree: ast.AST) -> list[tuple[int, str]]:

@@ -9,6 +9,7 @@ from conftest import h_value, random_discrete_instance
 from probemax import (
     DiscreteFinite,
     Instance,
+    ThresholdPolicy,
     Uniform,
     ValidationError,
     adaptive_optimum_dp,
@@ -22,6 +23,11 @@ from probemax.gap2 import build_tilde_set, narrow_interval, tie_class_at
 from probemax.minmax import h_max
 
 TWO_UNIFORM = Instance([Uniform(0, 1), Uniform(0, 1)], 2)
+
+
+def gap2_policy(inst, result) -> ThresholdPolicy:
+    """The stopping policy over the chosen set at the root threshold."""
+    return ThresholdPolicy([inst.dists[i] for i in result.chosen], result.threshold)
 
 
 def epsilon_message(eps) -> str:
@@ -143,22 +149,16 @@ class TestSelectGap2Set:
 
 
 class TestGap2Policy:
-    def test_policy_is_the_chosen_set_at_the_threshold(self):
-        inst = Instance([Uniform(0, 1), point_mass(0.3), Uniform(0, 2)], 2)
-        result = select_gap2_set(inst, 0.05)
-        assert result.policy.entries == tuple(inst.dists[i] for i in result.chosen)
-        assert result.policy.threshold == result.threshold
-
     def test_point_mass_floor(self):
         inst = Instance([point_mass(1.0)], 1)
         result = select_gap2_set(inst, 0.1)
-        stats = evaluate(result.policy)
+        stats = evaluate(gap2_policy(inst, result))
         assert stats.expected_reward == pytest.approx(1.0)
         assert stats.expected_reward >= result.threshold
 
     def test_two_uniform_floor(self):
         result = select_gap2_set(TWO_UNIFORM, 0.05)
-        stats = evaluate(result.policy)
+        stats = evaluate(gap2_policy(TWO_UNIFORM, result))
         assert stats.expected_reward >= result.threshold - 1e-9
 
     def test_single_two_point_variable(self):
@@ -167,7 +167,7 @@ class TestGap2Policy:
         inst = Instance([DiscreteFinite([(0.0, 0.5), (2.0, 0.5)])], 1)
         result = select_gap2_set(inst, 0.05)
         assert result.threshold == pytest.approx(2.0 / 3.0, abs=1e-9)
-        stats = evaluate(result.policy)
+        stats = evaluate(gap2_policy(inst, result))
         assert stats.expected_reward == pytest.approx(1.0, abs=1e-12)
 
 
@@ -179,7 +179,7 @@ class TestGuarantees:
         result = select_gap2_set(inst, eps)
         u_star = result.bound.u_star
         assert u_star <= (2 + eps) * result.threshold + 1e-9 * u_star
-        stats = evaluate(result.policy)
+        stats = evaluate(gap2_policy(inst, result))
         assert stats.expected_reward >= result.threshold - 1e-9
 
     @pytest.mark.parametrize("seed", range(40))

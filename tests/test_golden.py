@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 
 from probemax import (
+    ThresholdPolicy,
     adaptive_optimum_dp,
     evaluate,
     expected_max_exact_discrete,
@@ -71,7 +72,8 @@ def golden_record(family: str, seed: int, n_max: int) -> dict:
                  res.rho_minus, res.bound.u_star, res.bound.iterations],
     }
     if family == "discrete":
-        rec["stats"] = _stats(evaluate(res.policy))
+        policy = ThresholdPolicy([inst.dists[i] for i in res.chosen], res.threshold)
+        rec["stats"] = _stats(evaluate(policy))
         s_star, s_set = static_optimum_enum(inst)
         rec["exact"] = [adaptive_optimum_dp(inst), s_star, s_set,
                         expected_max_exact_discrete(inst.dists, res.chosen)]

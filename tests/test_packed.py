@@ -3,10 +3,11 @@
 ``Instance`` holds its variables as columns by family, so that G_i(r) and
 P(X_i >= r) of all n variables cost one numpy pass per family; ``rho``
 gathers its subset's rows of those columns.  The parser and
-``gen_instance`` build the columns directly, and a scalar variable object
-is a view made on demand.  The scalar ``Distribution`` methods are the
-reference: every packed value must carry the same bits, and the packed code
-must stay silent wherever the scalar arithmetic is.
+``gen_instance`` build the columns directly, an instance made from objects
+gathers their columns and keeps no reference to them, and a scalar
+variable object is a view made on demand.  The scalar ``Distribution``
+methods are the reference: every packed value must carry the same bits,
+and the packed code must stay silent wherever the scalar arithmetic is.
 
 Numerics: the packed code uses only numpy's basic arithmetic, comparisons
 and sorts, whose results do not depend on the SIMD code numpy dispatches
@@ -23,6 +24,7 @@ import os
 import subprocess
 import sys
 import warnings
+import weakref
 from bisect import bisect_left
 from pathlib import Path
 
@@ -108,7 +110,7 @@ def assert_same_bits(packed: np.ndarray, scalar: list[float], r: float) -> None:
 @example([DiscreteFinite([(1e308, 1.0)]), DiscreteFinite([(1.5e308, 1.0)]),
           Exponential(1e-308)], 1e308)
 def test_packed_oracles_equal_the_scalar_methods(dists, extra):
-    packed = _Packed(dists)
+    packed = _Packed.gather(dists)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for r in probe_points(dists) + [extra]:
@@ -202,7 +204,7 @@ def test_rows_of_one_batch_give_the_scalar_bits(inst):
     """
     discretes = [d for d in inst.dists if isinstance(d, DiscreteFinite)]
     assert len({id(d._tails.base) for d in discretes}) == 1
-    packed = _Packed(inst.dists)
+    packed = _Packed.gather(inst.dists)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for r in [math.nan, 0.0, -0.0] + probe_points(inst.dists):
@@ -350,7 +352,10 @@ def test_parsed_columns_equal_objects_built_one_at_a_time(family):
 
 
 def test_gap2_on_a_large_file_makes_at_most_k_variable_objects():
-    """Parse and select_gap2_set read the columns; only the chosen set is made."""
+    """Parse and select_gap2_set read the columns only; no variable object is made.
+
+    Asking for the chosen set then makes its k views, once.
+    """
     text = emit_instance(gen_instance(10_000, 1000, "discrete", 23))
 
     def count() -> int:
@@ -359,7 +364,19 @@ def test_gap2_on_a_large_file_makes_at_most_k_variable_objects():
     before = count()
     inst = parse_instance_text(text)
     result = select_gap2_set(inst, 0.05)
-    made = count() - before
-    assert 1 <= made <= inst.k
-    assert result.policy.entries == tuple(inst._variables(result.chosen))
-    assert count() - before == made  # asking again makes none
+    assert count() == before
+    chosen = inst._variables(result.chosen)
+    assert count() - before == inst.k
+    assert inst._variables(result.chosen) == chosen
+    assert count() - before == inst.k  # asking again makes none
+
+
+def test_an_instance_keeps_no_reference_to_the_objects_it_was_made_from():
+    dists = [DiscreteFinite([(0.0, 0.25), (3.0, 0.75)]), Uniform(1.0, 2.0), Exponential(0.5)]
+    copies = [DiscreteFinite([(0.0, 0.25), (3.0, 0.75)]), Uniform(1.0, 2.0), Exponential(0.5)]
+    refs = [weakref.ref(d) for d in dists]
+    inst = Instance(dists, 2)
+    del dists
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None, None]
+    assert [fields(d) for d in inst.dists] == [fields(d) for d in copies]

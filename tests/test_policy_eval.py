@@ -297,7 +297,7 @@ class TestSimulate:
             simulate(ThresholdPolicy([point_mass(1.0)], 0.5), trials=0, seed=0)
 
     @pytest.mark.parametrize("trials, seed", [
-        (10.5, 0), (10.0, 0), (True, 0), ("10", 0), (np.int64(10), 0),
+        (10.5, 0), (10.0, 0), (True, 0), ("10", 0),
         (10, 1.5), (10, True), (10, None), (10, "0"),
     ])
     def test_non_integer_trials_or_seed_rejected(self, trials, seed):
