@@ -16,6 +16,7 @@ import io
 import math
 import sys
 import time
+from dataclasses import asdict
 
 import numpy as np
 
@@ -82,15 +83,7 @@ def _policy_from_args(inst: Instance, args) -> ThresholdPolicy:
 
 
 def cmd_bound(inst: Instance, args) -> dict:
-    bound = gap2_mod.narrow_interval(inst, args.epsilon)
-    return {
-        "r_minus": bound.r_minus,
-        "r_plus": bound.r_plus,
-        "r_hat": bound.r_hat,
-        "u_star": bound.u_star,
-        "xi": bound.xi,
-        "iterations": bound.iterations,
-    }
+    return asdict(gap2_mod.narrow_interval(inst, args.epsilon))
 
 
 def cmd_gap2(inst: Instance, args) -> dict:
@@ -137,28 +130,14 @@ def cmd_oracle(inst: Instance, args) -> dict:
 
 def cmd_eval(inst: Instance, args) -> dict:
     policy = _policy_from_args(inst, args)
-    stats = evaluate(policy)
-    return {
-        "threshold": policy.threshold,
-        "expected_reward": stats.expected_reward,
-        "expected_b": stats.expected_b,
-        "prob_stop": stats.prob_stop,
-        "expected_sum": stats.expected_sum,
-        "expected_excess": stats.expected_excess,
-    }
+    return {"threshold": policy.threshold, **asdict(evaluate(policy))}
 
 
 def cmd_simulate(inst: Instance, args) -> dict:
     policy = _policy_from_args(inst, args)
     result = simulate(policy, trials=args.trials, seed=args.seed)
-    return {
-        "threshold": policy.threshold,
-        "mean_reward": result.mean_reward,
-        "mean_max": result.mean_max,
-        "stderr": result.stderr,
-        "trials": args.trials,
-        "seed": args.seed,
-    }
+    return {"threshold": policy.threshold, **result._asdict(),
+            "trials": args.trials, "seed": args.seed}
 
 
 def cmd_gen(args) -> str:

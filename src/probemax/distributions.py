@@ -17,7 +17,6 @@ reference for the batches.
 from __future__ import annotations
 
 import math
-import sys
 from abc import ABC, abstractmethod
 
 import numpy as np
@@ -45,9 +44,6 @@ def _real(r) -> float:
 
 class Distribution(ABC):
     """A non-negative random variable with closed-form oracles."""
-
-    #: True when the CDF is continuous everywhere.
-    is_continuous: bool = False
 
     @abstractmethod
     def mean(self) -> float:
@@ -95,10 +91,8 @@ class DiscreteFinite(Distribution):
     non-negative, probabilities in (0, 1] summing to 1 within 1e-12.
     """
 
-    is_continuous = False
-
     def __init__(self, atoms) -> None:
-        items = [(float(v), float(p)) for v, p in atoms]
+        items = [(_real(v), _real(p)) for v, p in atoms]
         row = _DiscreteBatch.checked([v for v, _ in items], [p for _, p in items], [len(items)])
         self.values, self.probs, self._tails = row.values, row.probs, row.tails
 
@@ -247,12 +241,15 @@ def _tail_sums(values, probs, sizes) -> np.ndarray:
 
 
 class Uniform(Distribution):
-    """Uniform distribution on [a, b] with 0 <= a < b."""
+    """Uniform distribution on [a, b] with 0 <= a < b.
 
-    is_continuous = True
+    Inside the support every oracle is one product of d = b - r and the
+    survival d / (b - a), with no square of a value: nothing overflows or
+    underflows unless the true value does, and nothing cancels near b.
+    """
 
     def __init__(self, a: float, b: float) -> None:
-        a, b = float(a), float(b)
+        a, b = _real(a), _real(b)
         if not (math.isfinite(a) and math.isfinite(b)):
             raise ValidationError("uniform endpoints must be finite")
         if a < 0.0:
@@ -289,14 +286,9 @@ class Uniform(Distribution):
             return self.mean()
         if r >= self.b:
             return 0.0
-        # integral of x/(b-a) over [r, b]
-        num = self.b * self.b - r * r
-        if not sys.float_info.min <= num < math.inf:
-            # b*b and r*r underflow at tiny scales and overflow at huge
-            # ones; this form does neither.
-            d = self.b - r
-            return (d / (self.b - self.a)) * (r + 0.5 * d)
-        return num / (2.0 * (self.b - self.a))
+        # integral of x/(b-a) over [r, b]: the survival times the midpoint of [r, b]
+        d = self.b - r
+        return (d / (self.b - self.a)) * (r + 0.5 * d)
 
     def g_value(self, r: float) -> float:
         r = _real(r)
@@ -305,9 +297,7 @@ class Uniform(Distribution):
         if r >= self.b:
             return 0.0
         d = self.b - r
-        if not sys.float_info.min <= d * d < math.inf:
-            return (d / (self.b - self.a)) * (0.5 * d)  # d*d under- or overflows
-        return d * d / (2.0 * (self.b - self.a))
+        return (d / (self.b - self.a)) * (0.5 * d)
 
     def draw(self, u):
         return self.a + u * (self.b - self.a)
@@ -316,10 +306,8 @@ class Uniform(Distribution):
 class Exponential(Distribution):
     """Exponential distribution with the given positive rate."""
 
-    is_continuous = True
-
     def __init__(self, rate: float) -> None:
-        rate = float(rate)
+        rate = _real(rate)
         if not math.isfinite(rate) or rate <= 0.0:
             raise ValidationError(f"exponential rate {rate!r} must be positive")
         if not math.isfinite(1.0 / rate):
@@ -398,13 +386,11 @@ def _ranges(starts, lengths) -> np.ndarray:
 
 
 class _UniformBatch:
-    """Uniform rows as the columns `a` and `b`."""
+    """Uniform rows as the columns `a` and `b`; G is Uniform.g_value elementwise."""
 
     def __init__(self, a, b) -> None:
         self.a, self.b = a, b
         self._width = b - a
-        with np.errstate(over="ignore"):  # inf above 2**1023, as in the scalar form
-            self._two_width = 2.0 * self._width
         self.mean = 0.5 * (a + b)
         # An r below every b, or above every a, needs no mask for that end.
         self._b_min = float(np.min(b, initial=math.inf))
@@ -440,11 +426,8 @@ class _UniformBatch:
 
     def g_value(self, r: float) -> np.ndarray:
         d = self.b - r
-        dd = d * d
-        g = dd / self._two_width
-        odd = (dd < sys.float_info.min) | (dd == math.inf)
-        if odd.any():
-            g[odd] = (d[odd] / self._width[odd]) * (0.5 * d[odd])
+        g = d / self._width
+        g *= 0.5 * d
         if r >= self._b_min:
             g[r >= self.b] = 0.0
         if r <= self._a_max:

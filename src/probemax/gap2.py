@@ -15,6 +15,7 @@ expectation under any inspection order, so E[max of S] is within a factor
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,15 +103,17 @@ class Gap2Result:
     epsilon: float
 
 
-def check_epsilon(epsilon: float) -> None:
-    """Raise ValidationError unless 0 < epsilon < 1."""
-    if not (isinstance(epsilon, (int, float)) and 0.0 < epsilon < 1.0):
+def check_epsilon(epsilon: float) -> float:
+    """epsilon as a float; raise ValidationError unless it is a real with 0 < epsilon < 1."""
+    if (isinstance(epsilon, bool) or not isinstance(epsilon, numbers.Real)
+            or not 0.0 < epsilon < 1.0):
         raise ValidationError(f"epsilon={epsilon!r} must lie strictly inside (0, 1)")
+    return float(epsilon)
 
 
 def narrow_interval(inst: Instance, epsilon: float) -> BoundResult:
     """Bracket a minimizer of the envelope to width epsilon * mu_max / (20 k)."""
-    check_epsilon(epsilon)
+    epsilon = check_epsilon(epsilon)
     xi = epsilon * inst.mu_max / (XI_DENOMINATOR * inst.k)
     return minimize_hmax(inst, xi)
 
@@ -130,6 +133,7 @@ def select_gap2_set(inst: Instance, epsilon: float = 0.05) -> Gap2Result:
     The final inequality is a theorem, so its failure beyond float slack
     means an implementation bug and raises GuaranteeViolation.
     """
+    epsilon = check_epsilon(epsilon)
     bound = narrow_interval(inst, epsilon)
     xi = bound.xi
     s_plus = build_tilde_set(inst, bound.r_plus, bound.r_plus + xi)
@@ -152,5 +156,5 @@ def select_gap2_set(inst: Instance, epsilon: float = 0.05) -> Gap2Result:
         chosen=chosen,
         threshold=threshold,
         bound=bound,
-        epsilon=float(epsilon),
+        epsilon=epsilon,
     )

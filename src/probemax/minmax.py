@@ -23,7 +23,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .distributions import _DISCRETE, Distribution, _Packed
+from .distributions import _DISCRETE, Distribution, _Packed, _real
 from .errors import ValidationError
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi, golden-section shrink factor
@@ -181,8 +181,9 @@ def minimize_hmax(inst: Instance, xi_target: float) -> BoundResult:
     ValidationError when the bracket or the bound overflows to a non-finite
     value.
     """
-    if (isinstance(xi_target, bool) or not isinstance(xi_target, numbers.Real)
-            or not math.isfinite(xi_target) or xi_target <= 0.0):
+    real = isinstance(xi_target, numbers.Real) and not isinstance(xi_target, bool)
+    xi = _real(xi_target) if real else math.nan
+    if not 0.0 < xi < math.inf:
         raise ValidationError(f"xi_target={xi_target!r} must be a positive real")
     lo, hi = 0.0, inst.n * inst.mu_max
     if not math.isfinite(hi):
@@ -191,12 +192,12 @@ def minimize_hmax(inst: Instance, xi_target: float) -> BoundResult:
             "the variables' values exceed the floating-point range"
         )
     iterations = 0
-    if hi - lo > xi_target:
+    if hi - lo > xi:
         c = hi - INV_PHI * (hi - lo)
         d = lo + INV_PHI * (hi - lo)
         fc = h_max(inst, c)
         fd = h_max(inst, d)
-        while hi - lo > xi_target:
+        while hi - lo > xi:
             width = hi - lo
             if fc < fd:
                 hi, d, fd = d, c, fc
@@ -217,7 +218,7 @@ def minimize_hmax(inst: Instance, xi_target: float) -> BoundResult:
             "the variables' values exceed the floating-point range"
         )
     return BoundResult(
-        r_minus=lo, r_plus=hi, r_hat=r_hat, u_star=u_star, xi=float(xi_target),
+        r_minus=lo, r_plus=hi, r_hat=r_hat, u_star=u_star, xi=xi,
         iterations=iterations,
     )
 

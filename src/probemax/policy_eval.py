@@ -37,7 +37,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .distributions import DiscreteFinite, Distribution
+from .distributions import DiscreteFinite, Distribution, _real
 from .errors import ValidationError
 from .minmax import check_subset
 
@@ -58,7 +58,7 @@ class ThresholdPolicy:
         entries = tuple(entries)
         if not entries:
             raise ValidationError("policy needs at least one entry")
-        threshold = float(threshold)
+        threshold = _real(threshold)
         if not math.isfinite(threshold) or threshold < 0.0:
             raise ValidationError(f"threshold {threshold!r} must be finite and non-negative")
         object.__setattr__(self, "entries", entries)

@@ -3,10 +3,11 @@
 import math
 import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -248,12 +249,6 @@ class TestDrawMatchesReference:
         for one in (np.array(u[5]), float(u[5])):
             assert same_bits(d.draw(one), -np.log1p(-one) / d.rate)
 
-class TestIsContinuous:
-    def test_families(self):
-        assert Uniform(0, 1).is_continuous
-        assert Exponential(1.0).is_continuous
-        assert not DiscreteFinite([(1, 1.0)]).is_continuous
-
 
 @pytest.mark.parametrize(
     "d",
@@ -432,6 +427,44 @@ class TestUniformTinyScale:
         assert tiny.g_value(r * 1e-200) == pytest.approx(unit.g_value(r) * 1e-200, rel=1e-14)
         assert tiny.tail_moment_one(r * 1e-200) == pytest.approx(
             unit.tail_moment_one(r) * 1e-200, rel=1e-14)
+
+
+@st.composite
+def uniform_and_inner_r(draw):
+    """Uniform(a, b) at scale 1e-200, 1 or 1e200, and a float r with a < r < b.
+
+    Half the draws put r 1e-16 to 1e-8 relative below b, where b*b - r*r
+    cancels.
+    """
+    scale = draw(st.sampled_from([1e-200, 1.0, 1e200]))
+    a = draw(st.floats(0.0, 1e3)) * scale
+    b = a + draw(st.floats(1e-6, 1e3)) * scale
+    if draw(st.booleans()):
+        r = b * (1.0 - 10.0 ** draw(st.floats(-16.0, -8.0)))
+    else:
+        r = a + draw(st.floats(0.0, 1.0)) * (b - a)
+    assume(a < r < b)
+    return Uniform(a, b), r
+
+
+@settings(max_examples=500, deadline=None)
+@given(uniform_and_inner_r())
+@example((Uniform(2.0, 3.0), 3.0 - 1e-13))
+def test_uniform_oracles_are_exact_to_rounding_at_every_scale(case):
+    """G(r), E[X * 1{X >= r}] and E[X | X >= r] inside (a, b) lie within
+    1e-15 relative of their exact values (b-r)^2 / (2(b-a)),
+    (b^2 - r^2) / (2(b-a)) and (r+b) / 2, at every scale and for r as
+    close as 1e-16 relative below b."""
+    d, r = case
+    a, b, x = Fraction(d.a), Fraction(d.b), Fraction(r)
+    exact = {
+        "g_value": (b - x) ** 2 / (2 * (b - a)),
+        "tail_moment_one": (b * b - x * x) / (2 * (b - a)),
+        "cond_exp_ge": (x + b) / 2,
+    }
+    for name, value in exact.items():
+        got = getattr(d, name)(r)
+        assert abs(Fraction(got) - value) <= Fraction(1, 10**15) * value, (name, got)
 
 
 @pytest.mark.parametrize("d", [point_mass(2.0), Uniform(0, 1), Exponential(1.0)],

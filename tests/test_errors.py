@@ -10,6 +10,7 @@ call's last bits differ from host to host.
 """
 
 import ast
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ import pytest
 
 from probemax import (
     DiscreteFinite,
+    Exponential,
     Instance,
     ThresholdPolicy,
     Uniform,
@@ -63,8 +65,6 @@ HUGE_PAIR = [DiscreteFinite(zip(v, HUGE_PROBS)) for v in (HUGE_VALUES, HUGE_VALU
 
 class Constant(Distribution):
     """A point mass at 1 of none of the three families, every oracle defined."""
-
-    is_continuous = False
 
     def mean(self):
         return 1.0
@@ -206,6 +206,39 @@ def test_integer_arguments_take_numpy_integers_but_not_bool(site, value):
             call(value)
     else:
         assert call(value) == call(1)
+
+
+#: Entry point -> (call with that real argument set to its parameter,
+#: whole message at 10**400, which is beyond the float range).
+REAL_ARGS = {
+    "Uniform.b": (lambda v: Uniform(0, v), "uniform endpoints must be finite"),
+    "Exponential.rate": (lambda v: Exponential(v), "exponential rate inf must be positive"),
+    "DiscreteFinite value": (
+        lambda v: DiscreteFinite([(v, 1)]), "support value inf must be finite and non-negative"),
+    "ThresholdPolicy.threshold": (
+        lambda v: ThresholdPolicy([Uniform(0, 1)], v),
+        "threshold inf must be finite and non-negative"),
+    "minimize_hmax.xi_target": (
+        lambda v: minimize_hmax(TWO_UNIFORM, v), f"xi_target={10**400!r} must be a positive real"),
+    "select_gap2_set.epsilon": (
+        lambda v: select_gap2_set(TWO_UNIFORM, v),
+        f"epsilon={10**400!r} must lie strictly inside (0, 1)"),
+}
+
+
+@pytest.mark.parametrize("value", [10**400, np.float32(0.05), Fraction(1, 20)],
+                         ids=["10**400", "np.float32(0.05)", "Fraction(1, 20)"])
+@pytest.mark.parametrize("site", list(REAL_ARGS))
+def test_real_arguments_take_any_real_and_reject_one_beyond_the_float_range(site, value):
+    """A real in range gives what its float gives; 10**400 is a
+    ValidationError, not a raw OverflowError."""
+    call, message = REAL_ARGS[site]
+    if isinstance(value, int):
+        with pytest.raises(ValidationError) as info:
+            call(value)
+        assert str(info.value) == message
+    else:
+        assert call(value) == call(float(value))
 
 
 def raised_names(tree: ast.AST) -> list[tuple[int, str]]:

@@ -316,7 +316,7 @@ def assert_columns_match(inst: Instance, reference: list) -> None:
     assert inst.n == len(reference)
     assert inst.mu_max.hex() == max(d.mean() for d in reference).hex()
     assert inst._first_discontinuous == next(
-        (i for i, d in enumerate(reference) if not d.is_continuous), None)
+        (i for i, d in enumerate(reference) if isinstance(d, DiscreteFinite)), None)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for r in probe_points(reference):
