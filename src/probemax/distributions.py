@@ -290,6 +290,12 @@ class Uniform(Distribution):
         d = self.b - r
         return (d / (self.b - self.a)) * (r + 0.5 * d)
 
+    def cond_exp_ge(self, r: float) -> float:
+        r = _real(r)
+        if self.a < r < self.b:
+            return r + 0.5 * (self.b - r)  # the midpoint of [r, b], which stays inside it
+        return super().cond_exp_ge(r)
+
     def g_value(self, r: float) -> float:
         r = _real(r)
         if r <= self.a:
@@ -392,6 +398,7 @@ class _UniformBatch:
         self.a, self.b = a, b
         self._width = b - a
         self.mean = 0.5 * (a + b)
+        self.top = b
         # An r below every b, or above every a, needs no mask for that end.
         self._b_min = float(np.min(b, initial=math.inf))
         self._a_max = float(np.max(a, initial=-math.inf))
@@ -451,6 +458,7 @@ class _ExponentialBatch:
         self.rate = rate
         self._neg_rate = -rate
         self.mean = 1.0 / rate
+        self.top = np.full(len(rate), math.inf)
 
     @classmethod
     def checked(cls, rate) -> _ExponentialBatch:
@@ -506,6 +514,7 @@ class _DiscreteBatch:
         self._heads = self._starts + np.arange(len(sizes))
         self._tail_p, self._tail_pv = tails  # contiguous rows index faster
         self.mean = self._tail_pv[self._heads]  # each row's top suffix sum of P * v
+        self.top = values[self._starts + sizes - 1]
 
     @classmethod
     def checked(cls, values, probs, sizes) -> _DiscreteBatch:
@@ -675,6 +684,12 @@ class _Packed:
         if self._only is not None:
             return self._only.mean
         return self._gather([batch.mean for _, batch in self._parts])
+
+    def top(self) -> np.ndarray:
+        """Each support's top (largest atom, b or inf); G_i(r) is 0 at r >= top[i]."""
+        if self._only is not None:
+            return self._only.top
+        return self._gather([batch.top for _, batch in self._parts])
 
     def g_value(self, r: float) -> np.ndarray:
         with np.errstate(over="ignore", invalid="ignore"):

@@ -138,8 +138,11 @@ def select_gap2_set(inst: Instance, epsilon: float = 0.05) -> Gap2Result:
     xi = bound.xi
     s_plus = build_tilde_set(inst, bound.r_plus, bound.r_plus + xi)
     s_minus = build_tilde_set(inst, bound.r_minus, bound.r_minus - xi)
-    rho_plus = rho(inst, s_plus)
-    rho_minus = rho(inst, s_minus)
+    # A zero-mean set, whose root rho rejects, scores 0 and loses to the other;
+    # both are zero-mean only if every G is 0 at r_minus - xi (README, Numerics).
+    mean = inst._packed.mean()
+    rho_minus = rho(inst, s_minus) if mean[list(s_minus)].any() else 0.0
+    rho_plus = rho(inst, s_plus) if mean[list(s_plus)].any() or not rho_minus else 0.0
     if rho_plus >= rho_minus:
         chosen, threshold = s_plus, rho_plus
     else:

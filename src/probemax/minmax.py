@@ -5,7 +5,9 @@ with G_i(r) = E[(X_i - r)^+].  The upper envelope H_max(r) maximizes H(r, .)
 over all subsets of size k (equivalently: the k largest G_i(r)), and the
 bound of interest is U* = min_r H_max(r).  H_max is convex and attains its
 minimum inside [0, n * mu_max], so golden-section search brackets a minimizer
-to any requested width.
+to any requested width.  As the bracket narrows, the search drops the
+variables that provably cannot enter the top k on it and skips points past
+every remaining support, with every value bit for bit h_max's.
 
 Also provided: the unique root rho(S) of sum_{i in S} G_i(r) = r, which is
 the threshold whose stopping policy earns at least rho(S) in expectation, and
@@ -177,9 +179,10 @@ def minimize_hmax(inst: Instance, xi_target: float) -> BoundResult:
     Shrinks the bracket until its width is at most xi_target, or until it
     stops shrinking at floating-point resolution; the returned interval
     contains a minimizer because H_max is convex.  Runs
-    O(log(n * mu_max / xi_target)) envelope evaluations.  Raises
-    ValidationError when the bracket or the bound overflows to a non-finite
-    value.
+    O(log(n * mu_max / xi_target)) envelope evaluations, each h_max's bits
+    from the variables the bracket has not ruled out (see _Candidates).
+    Raises ValidationError when the bracket or the bound overflows to a
+    non-finite value.
     """
     real = isinstance(xi_target, numbers.Real) and not isinstance(xi_target, bool)
     xi = _real(xi_target) if real else math.nan
@@ -191,27 +194,28 @@ def minimize_hmax(inst: Instance, xi_target: float) -> BoundResult:
             f"search bracket n * mu_max = {hi!r} overflows; "
             "the variables' values exceed the floating-point range"
         )
+    live = _Candidates(inst)
     iterations = 0
     if hi - lo > xi:
         c = hi - INV_PHI * (hi - lo)
         d = lo + INV_PHI * (hi - lo)
-        fc = h_max(inst, c)
-        fd = h_max(inst, d)
+        fc = live.h_max(c, lo, hi)
+        fd = live.h_max(d, lo, hi)
         while hi - lo > xi:
             width = hi - lo
             if fc < fd:
                 hi, d, fd = d, c, fc
                 c = hi - INV_PHI * (hi - lo)
-                fc = h_max(inst, c)
+                fc = live.h_max(c, lo, hi)
             else:
                 lo, c, fc = c, d, fd
                 d = lo + INV_PHI * (hi - lo)
-                fd = h_max(inst, d)
+                fd = live.h_max(d, lo, hi)
             iterations += 1
             if hi - lo >= width:
                 break  # the bracket is a few ulps wide and cannot shrink further
     r_hat = 0.5 * (lo + hi)
-    u_star = h_max(inst, r_hat)
+    u_star = live.h_max(r_hat, lo, hi)
     if not math.isfinite(u_star):
         raise ValidationError(
             f"upper bound U* overflows to {u_star!r} at r_hat={r_hat!r}; "
@@ -221,6 +225,57 @@ def minimize_hmax(inst: Instance, xi_target: float) -> BoundResult:
         r_minus=lo, r_plus=hi, r_hat=r_hat, u_star=u_star, xi=xi,
         iterations=iterations,
     )
+
+
+class _Candidates:
+    """The variables that can still enter the top k on the search bracket.
+
+    G_i never increases.  On [lo, hi] variable i is dropped when its support
+    top is <= lo, where G_i is exactly 0, or when G_i(lo) lies over
+    1e-11 * mu_max below T, the k-th largest G at hi, as the k kept variables
+    at or above T stay above it on the bracket.  The margin covers G's
+    rounding: a rise of a few ulps at an atom or a uniform's `a`, and of
+    PROB_SUM_TOL of the lowest atom of a row whose probabilities sum under 1.
+    So the k largest kept G, padded with exact zeros, are h_max's multiset,
+    and past every kept top the envelope is r (README, Command line).
+    """
+
+    def __init__(self, inst: Instance) -> None:
+        self.k, self.margin = inst.k, 1e-11 * inst.mu_max  # several times G's rounding
+        self._keep(inst._packed, inst._packed.top())
+        # Evaluated points: r -> (G of the kept variables, and the k-th largest
+        # G, or 0 when at most k are kept).  G at 0 is the mean.
+        self.seen = {0.0: (inst._packed.mean(), 0.0)}
+
+    def _keep(self, packed, top: np.ndarray) -> None:
+        self.packed, self.top = packed, top
+        self.top_min = float(top.min(initial=math.inf))
+        self.top_max = float(top.max(initial=-math.inf))
+
+    def h_max(self, r: float, lo: float, hi: float) -> float:
+        """H_max(r), for r in a bracket [lo, hi] that holds every later point."""
+        self._prune(lo, hi)
+        if r >= self.top_max:
+            self.seen[r] = (np.zeros(self.top.size), 0.0)
+            return r
+        g = self.packed.g_value(r)
+        cut = g.size - self.k
+        top = np.partition(g, cut)[cut:] if cut > 0 else g  # the k-th largest first
+        self.seen[r] = (g, float(top[0]) if cut > 0 else 0.0)
+        return r + math.fsum(top.tolist())
+
+    def _prune(self, lo: float, hi: float) -> None:
+        self.seen = {r: point for r, point in self.seen.items() if lo <= r <= hi}
+        # T at hi less the margin; at n * mu_max, never evaluated, T >= 0 as G >= 0.
+        floor = self.seen.get(hi, (None, 0.0))[1] - self.margin
+        if lo < self.top_min and floor <= 0.0:
+            return  # neither rule can drop a variable
+        keep = (self.top > lo) & (self.seen[lo][0] >= floor)
+        if 2 * np.count_nonzero(keep) > keep.size:
+            return  # a gather pays once it halves the evaluations
+        rows = np.flatnonzero(keep)
+        self._keep(self.packed.take(rows), self.top[rows])
+        self.seen = {r: (g[rows], t) for r, (g, t) in self.seen.items()}
 
 
 def rho(inst: Instance, subset: Iterable[int]) -> float:

@@ -1,5 +1,5 @@
-"""Shared builders for seeded random test instances, and references: H(r, S)
-and a two-way mixture entry."""
+"""Shared builders for seeded random test instances, and references: H(r, S),
+the plain golden-section search and a two-way mixture entry."""
 
 import math
 from typing import Iterable
@@ -8,6 +8,7 @@ import numpy as np
 
 from probemax import Instance
 from probemax.instance_io import gen_instance
+from probemax.minmax import INV_PHI, BoundResult, h_max
 
 
 def random_discrete_instance(seed: int, n_lo: int = 2, n_hi: int = 6) -> Instance:
@@ -34,6 +35,37 @@ def h_value(inst: Instance, r: float, subset: Iterable[int]) -> float:
     """
     idx = inst.subset(subset)
     return r + math.fsum(inst.dists[i].g_value(r) for i in idx)
+
+
+def golden_section_reference(inst: Instance, xi: float) -> BoundResult:
+    """minimize_hmax without pruning: every search point is a full h_max.
+
+    The reference for the pruned search, which must return the same
+    BoundResult bit for bit.
+    """
+    lo, hi = 0.0, inst.n * inst.mu_max
+    iterations = 0
+    if hi - lo > xi:
+        c = hi - INV_PHI * (hi - lo)
+        d = lo + INV_PHI * (hi - lo)
+        fc = h_max(inst, c)
+        fd = h_max(inst, d)
+        while hi - lo > xi:
+            width = hi - lo
+            if fc < fd:
+                hi, d, fd = d, c, fc
+                c = hi - INV_PHI * (hi - lo)
+                fc = h_max(inst, c)
+            else:
+                lo, c, fc = c, d, fd
+                d = lo + INV_PHI * (hi - lo)
+                fd = h_max(inst, d)
+            iterations += 1
+            if hi - lo >= width:
+                break
+    r_hat = 0.5 * (lo + hi)
+    return BoundResult(r_minus=lo, r_plus=hi, r_hat=r_hat, u_star=h_max(inst, r_hat),
+                       xi=float(xi), iterations=iterations)
 
 
 class TwoWay:

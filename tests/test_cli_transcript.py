@@ -90,6 +90,11 @@ EDGE = {
                   "dist discrete values 0 3e200 probs 0.5 0.5\n", "1,2"),
     "pair-e-200": ("k 2\ndist discrete values 0 1e-200 probs 0.5 0.5\n"
                    "dist discrete values 0 3e-200 probs 0.5 0.5\n", "1,2"),
+    # S+ is the zero-mean variable when it comes first; S- wins in both orders.
+    "zero-mean-first": ("k 1\ndist discrete values 0.0 probs 1.0\n"
+                        "dist discrete values 12.74 probs 1.0\n", "1,2"),
+    "zero-mean-last": ("k 1\ndist discrete values 12.74 probs 1.0\n"
+                       "dist discrete values 0.0 probs 1.0\n", "1,2"),
 }
 
 

@@ -467,6 +467,24 @@ def test_uniform_oracles_are_exact_to_rounding_at_every_scale(case):
         assert abs(Fraction(got) - value) <= Fraction(1, 10**15) * value, (name, got)
 
 
+def test_uniform_cond_exp_ge_stays_below_b_one_ulp_from_it():
+    """The tail moment over the survival landed 1 ulp above b here."""
+    b = 13.205137423560831
+    r = 13.20513742356083
+    assert r < Uniform(6.859572319726135, b).cond_exp_ge(r) <= b
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.floats(0.0, 1e3), st.floats(1e-6, 1e3), st.floats(-16.0, -14.0),
+       st.sampled_from([2.0**-60, 1.0, 2.0**60]))
+def test_uniform_cond_exp_ge_lies_in_its_tail(a, width, log_gap, scale):
+    """r <= E[X | X >= r] <= b for r 1e-16 to 1e-14 relative below b."""
+    a, b = a * scale, (a + width) * scale
+    r = b * (1.0 - 10.0**log_gap)
+    assume(a < r < b)
+    assert r <= Uniform(a, b).cond_exp_ge(r) <= b
+
+
 @pytest.mark.parametrize("d", [point_mass(2.0), Uniform(0, 1), Exponential(1.0)],
                          ids=["discrete", "uniform", "exponential"])
 @pytest.mark.parametrize("sign", [1, -1], ids=["above", "below"])

@@ -1,9 +1,13 @@
 """Tests for the factor-(2 + eps) construction on general variables."""
 
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import h_value, random_discrete_instance
 from probemax import (
@@ -19,7 +23,9 @@ from probemax import (
     rho,
     select_gap2_set,
 )
-from probemax.gap2 import build_tilde_set, narrow_interval, tie_class_at
+from probemax.cli import main
+from probemax.gap2 import GUARANTEE_RTOL, build_tilde_set, narrow_interval, tie_class_at
+from probemax.instance_io import emit_instance
 from probemax.minmax import h_max
 
 TWO_UNIFORM = Instance([Uniform(0, 1), Uniform(0, 1)], 2)
@@ -206,3 +212,38 @@ class TestGuarantees:
         second = select_gap2_set(inst, 0.05)
         assert first == second
         assert first.chosen == (0, 1)
+
+
+@st.composite
+def zero_atom_instances(draw):
+    """Small discrete instances where about half the rows start with a zero atom.
+
+    n in 2..6, k in 1..n, 1-3 atoms per row with values Exp(1) * 10^U(0, 2)
+    rounded to 3 decimals, and probabilities floored at 1e-4 and renormalized.
+    """
+    n = draw(st.integers(2, 6))
+    dists = []
+    for _ in range(n):
+        m = draw(st.integers(1, 3))
+        values = [round(draw(st.floats(0.0, 5.0)) * 10.0 ** draw(st.floats(0.0, 2.0)), 3)
+                  for _ in range(m)]
+        if draw(st.booleans()):
+            values[0] = 0.0
+        weights = draw(st.lists(st.floats(1e-4, 1.0), min_size=m, max_size=m))
+        dists.append(DiscreteFinite([(v, w / sum(weights)) for v, w in zip(values, weights)]))
+    assume(any(d.mean() > 0.0 for d in dists))
+    return Instance(dists, draw(st.integers(1, n)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(zero_atom_instances(), st.sampled_from([0.05, 1e-3, 1e-6, 1e-9]))
+def test_gap2_answers_every_instance_with_zero_atoms(inst, epsilon):
+    """A tilde set of zero-mean variables loses to the other set instead of
+    ending the run, and the factor-(2 + eps) guarantee holds."""
+    res = select_gap2_set(inst, epsilon)
+    assert res.bound.u_star <= (2.0 + epsilon) * res.threshold * (1.0 + GUARANTEE_RTOL)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "zero.inst"
+        path.write_text(emit_instance(inst))
+        assert main(["gap2", str(path), "--epsilon", repr(epsilon),
+                     "--out", str(Path(tmp) / "out.csv")]) == 0

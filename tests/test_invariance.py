@@ -18,6 +18,7 @@ from probemax import (
     ThresholdPolicy,
     Uniform,
     gen_instance,
+    point_mass,
     select_gap2_set,
     simulate,
     solve_continuous,
@@ -117,3 +118,16 @@ def test_u_star_is_permutation_invariant(name, family, fields):
         if p_floats[0] != floats[0]:
             bad.append(seed)
     assert bad == [], f"{name}: u_star changes under permutation for seeds {bad}"
+
+
+@pytest.mark.parametrize("order", [(0, 1), (1, 0)], ids=["zero-first", "zero-last"])
+def test_gap2_set_ignores_a_zero_mean_variable_in_either_order(order):
+    """H_max is flat at 12.74 on [0, 12.74], so the bracket ends past 12.74,
+    where every G is 0 and the tie class is both variables.  S+ fills its
+    slot by index and takes the zero-mean variable when it comes first; it
+    must lose to S-, not end the run."""
+    dists = [point_mass(0.0), point_mass(12.74)]
+    res = select_gap2_set(Instance([dists[i] for i in order], 1))
+    assert res.chosen == (order.index(1),)
+    assert res.threshold == pytest.approx(6.37, rel=1e-11)
+    assert res.threshold == select_gap2_set(Instance(dists[1:], 1)).threshold

@@ -5,19 +5,28 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from conftest import h_value, random_continuous_instance, random_discrete_instance
+from conftest import (
+    golden_section_reference,
+    h_value,
+    random_continuous_instance,
+    random_discrete_instance,
+)
 from probemax import (
     DiscreteFinite,
     Exponential,
     Instance,
     Uniform,
     ValidationError,
+    gen_instance,
     minimize_hmax,
     point_mass,
     rho,
 )
-from probemax.gap2 import tie_class_at
+from probemax.distributions import _Packed
+from probemax.gap2 import XI_DENOMINATOR, tie_class_at
 from probemax.minmax import h_derivative_continuous, h_max
 
 TWO_UNIFORM = Instance([Uniform(0, 1), Uniform(0, 1)], 2)
@@ -249,3 +258,119 @@ class TestProperties:
             assert value.hex() == h_value(inst, r, witness).hex()
             for subset in combinations(range(inst.n), inst.k):
                 assert value >= h_value(inst, r, subset) - 1e-12
+
+
+# The search drops the variables its bracket rules out of the top k and
+# skips points past every support; the plain search is the reference.
+
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+def _zero_atom_rows():
+    """A zero atom and one or two positive ones."""
+    return st.builds(
+        lambda p0, q, v1, v2: DiscreteFinite([(0.0, p0), (v1, q * (1 - p0)),
+                                              (v2, (1 - q) * (1 - p0))]),
+        _floats(0.01, 0.99), _floats(0.01, 0.99), _floats(0.01, 100.0),
+        _floats(0.01, 100.0))
+
+
+def _needles():
+    """{0, v/p} with p log-uniform in [1e-3, 1]; a point mass at p = 1."""
+    def needle(v, log_p):
+        p = 10.0**log_p
+        return point_mass(v) if p >= 1.0 else DiscreteFinite([(0.0, 1.0 - p), (v / p, p)])
+    return st.builds(needle, _floats(0.5, 2.0), _floats(-3.0, 0.0))
+
+
+def _variables():
+    return st.one_of(
+        _zero_atom_rows(),
+        _needles(),
+        st.builds(point_mass, st.sampled_from([0.0, 1.0, 2.5, 10.0])),
+        st.builds(lambda a, w: Uniform(a, a + w), _floats(0.0, 5.0), _floats(0.5, 5.0)),
+        st.builds(Exponential, _floats(0.2, 2.0)),
+    )
+
+
+@st.composite
+def search_instances(draw):
+    """(instance, xi) over the shapes that stress the pruning rules, at scales 2^-60 to 2^60.
+
+    xi runs from epsilon = 0.05 down to 1e-12 in gap2's terms, and in one
+    case of five to the smallest float, where the bracket ends a few ulps
+    apart and the rounded G values at its two ends can tie.
+    """
+    kind = draw(st.sampled_from(["mixed", "close-rates", "iid-uniform"]))
+    n = draw(st.integers(1, 30))
+    if kind == "mixed":
+        dists = draw(st.lists(_variables(), min_size=n, max_size=n))
+    elif kind == "close-rates":  # rates a few ulps apart
+        rate = draw(_floats(0.2, 2.0))
+        steps = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+        dists = [Exponential(rate + j * math.ulp(rate)) for j in steps]
+    else:  # every variable tied
+        dists = [Uniform(0.0, 1.0)] * n
+    assume(any(d.mean() > 0.0 for d in dists))
+    scale = 2.0 ** draw(st.sampled_from([-60, 0, 60]))
+    dists = [_scaled(d, scale) for d in dists]
+    inst = Instance(dists, draw(st.integers(1, n)))
+    if draw(st.integers(0, 4)) == 0:
+        return inst, math.ulp(0.0)  # until the bracket stops at float resolution
+    epsilon = 10.0 ** draw(_floats(-12.0, math.log10(0.05)))
+    return inst, epsilon * inst.mu_max / (XI_DENOMINATOR * inst.k)
+
+
+def _scaled(d, c):
+    """d times a power of two, which is exact."""
+    if isinstance(d, DiscreteFinite):
+        return DiscreteFinite(zip((d.values * c).tolist(), d.probs.tolist()))
+    if isinstance(d, Uniform):
+        return Uniform(d.a * c, d.b * c)
+    return Exponential(d.rate / c)
+
+
+def _assert_search_matches_the_reference(inst, xi):
+    got, want = minimize_hmax(inst, xi), golden_section_reference(inst, xi)
+    assert got == want
+    assert got.u_star.hex() == want.u_star.hex()
+
+
+@settings(max_examples=400, deadline=None)
+@given(search_instances())
+def test_pruned_search_is_the_plain_search_bit_for_bit(case):
+    _assert_search_matches_the_reference(*case)
+
+
+@pytest.mark.parametrize("family, k", [("discrete", 10_000), ("mixed", 20_000)])
+def test_pruned_search_is_the_plain_search_at_n_1e5(family, k):
+    inst = gen_instance(100_000, k, family, 5)
+    _assert_search_matches_the_reference(inst, 0.05 * inst.mu_max / (XI_DENOMINATOR * k))
+
+
+@pytest.mark.parametrize("family, k, share", [("discrete", 1000, 0.05), ("mixed", 2000, 0.60)])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_search_evaluates_only_live_candidates(monkeypatch, family, k, share, seed):
+    """G evaluations (one variable at one point) stay below `share` of n per search point.
+
+    On discrete files every support ends near 10 and the minimizer sits at
+    the top atom, so past the first evaluations below 10 few variables are
+    live; on mixed files the exponentials never leave through their top.
+    """
+    inst = gen_instance(10_000, k, family, seed)
+    xi = 0.05 * inst.mu_max / (XI_DENOMINATOR * k)
+    want = golden_section_reference(inst, xi)
+    evaluated = 0
+    g_value = _Packed.g_value
+
+    def counting(self, r):
+        nonlocal evaluated
+        out = g_value(self, r)
+        evaluated += len(out)
+        return out
+
+    monkeypatch.setattr(_Packed, "g_value", counting)
+    got = minimize_hmax(inst, xi)
+    assert got.iterations == want.iterations
+    assert evaluated <= share * inst.n * (got.iterations + 3)
