@@ -49,12 +49,14 @@ def _render_set(indices) -> str:
 def _parse_indices(spec: str, inst: Instance) -> tuple[int, ...]:
     """The sorted 0-based subset that 1-based `--indices` names.
 
-    An error names the index as the user typed it.
+    A number is read as the file parser reads `k`: ASCII digits, perhaps
+    after a minus sign, so `1_0` and non-ASCII digits are rejected.  An
+    error names the index as the user typed it.
     """
-    try:
-        raw = [int(tok) for tok in spec.split(",") if tok.strip()]
-    except ValueError:
+    tokens = [tok.strip() for tok in spec.split(",") if tok.strip()]
+    if not all(tok.isascii() and tok.removeprefix("-").isdigit() for tok in tokens):
         raise ValidationError(f"--indices {spec!r}: expected comma-separated integers")
+    raw = [int(tok) for tok in tokens]
     if not raw:
         raise ValidationError("--indices is empty")
     seen = set()

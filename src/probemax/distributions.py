@@ -198,7 +198,8 @@ def _sort_rows(values, probs, sizes):
     """Sort each row by value and merge repeated values, as DiscreteFinite does.
 
     A merged atom keeps the value seen first and adds the probabilities in
-    input order, as a dict keyed by value would (so -0.0 and 0.0 merge).
+    input order, as a dict keyed by value would (so -0.0 and 0.0 merge); a
+    sum that rounds above 1 is 1, so the merged row is a valid one again.
     """
     row = np.repeat(np.arange(len(sizes)), sizes)
     same_row = row[1:] == row[:-1]
@@ -212,6 +213,7 @@ def _sort_rows(values, probs, sizes):
         first[repeat] = 0
         np.maximum.accumulate(first, out=first)
         np.add.at(probs, first[repeat], probs[repeat])  # unbuffered: in index order
+        np.minimum(probs, 1.0, out=probs)  # a merged 1 + ulp stays a valid probability
         keep = np.ones(len(values), dtype=bool)
         keep[repeat] = False
         values, probs = values[keep], probs[keep]
@@ -435,20 +437,25 @@ class _UniformBatch:
         d = self.b - r
         g = d / self._width
         g *= 0.5 * d
-        if r >= self._b_min:
-            g[r >= self.b] = 0.0
-        if r <= self._a_max:
-            low = r <= self.a
-            g[low] = self.mean[low] - r
-        return g
+        return self._ends(g, r, lambda low: self.mean[low] - r)
 
     def survival(self, r: float) -> np.ndarray:
-        s = (self.b - r) / self._width
+        return self._ends((self.b - r) / self._width, r, lambda low: 1.0)
+
+    def tail_moment_one(self, r: float) -> np.ndarray:
+        d = self.b - r
+        t = d / self._width
+        t *= r + 0.5 * d
+        return self._ends(t, r, lambda low: self.mean[low])
+
+    def _ends(self, x: np.ndarray, r: float, below) -> np.ndarray:
+        """x, the closed form inside (a, b), with 0 at r >= b and below(rows) at r <= a."""
         if r >= self._b_min:
-            s[r >= self.b] = 0.0
+            x[r >= self.b] = 0.0
         if r <= self._a_max:
-            s[r <= self.a] = 1.0
-        return s
+            low = r <= self.a
+            x[low] = below(low)
+        return x
 
 
 class _ExponentialBatch:
@@ -496,6 +503,13 @@ class _ExponentialBatch:
         if r <= 0.0:
             return np.ones(len(self.rate))
         return self._exp(r)
+
+    def tail_moment_one(self, r: float) -> np.ndarray:
+        if r <= 0.0:
+            return self.mean.copy()
+        if r == math.inf:
+            return np.zeros(len(self.rate))
+        return self._exp(r) * (r + self.mean)
 
 
 class _DiscreteBatch:
@@ -597,12 +611,17 @@ class _DiscreteBatch:
     def survival(self, r: float) -> np.ndarray:
         return self._tail_p[self._index(r)]
 
+    def tail_moment_one(self, r: float) -> np.ndarray:
+        return self._tail_pv[self._index(r)]
+
 
 #: The families in the order of their codes in _Packed.kind, with their batches.
 _FAMILIES = (DiscreteFinite, Uniform, Exponential)
 _BATCHES = {DiscreteFinite: _DiscreteBatch, Uniform: _UniformBatch, Exponential: _ExponentialBatch}
 #: DiscreteFinite's code in _Packed.kind: the one family whose CDF jumps.
 _DISCRETE = _FAMILIES.index(DiscreteFinite)
+#: Exponential's code: the one family whose support has no top.
+_EXPONENTIAL = _FAMILIES.index(Exponential)
 
 
 class _Packed:
@@ -611,8 +630,8 @@ class _Packed:
     `kind[i]` is variable i's family, an index into _FAMILIES, and
     `batches[kind[i]]` holds it at the row that counts the variables of
     that family before i; a family with no variable has None.  Each batch
-    evaluates G_i(r) and P(X_i >= r) of its family in one numpy pass per
-    call and equals the scalar methods bit for bit: it repeats each scalar
+    evaluates G_i(r), P(X_i >= r) and E[X_i 1{X_i >= r}] of its family in
+    one numpy pass per call and equals the scalar methods bit for bit: it repeats each scalar
     expression elementwise, and computes exp with math.exp, whose bits,
     unlike np.exp's, do not depend on the host's SIMD dispatch; this holds
     for every r that is not NaN.  The batches are called here only, under
@@ -692,16 +711,20 @@ class _Packed:
         return self._gather([batch.top for _, batch in self._parts])
 
     def g_value(self, r: float) -> np.ndarray:
-        with np.errstate(over="ignore", invalid="ignore"):
-            if self._only is not None:
-                return self._only.g_value(r)
-            return self._gather([batch.g_value(r) for _, batch in self._parts])
+        return self._each("g_value", r)
 
     def survival(self, r: float) -> np.ndarray:
+        return self._each("survival", r)
+
+    def tail_moment_one(self, r: float) -> np.ndarray:
+        return self._each("tail_moment_one", r)
+
+    def _each(self, oracle: str, r: float) -> np.ndarray:
+        """One oracle of every variable at r, each family's batch called once."""
         with np.errstate(over="ignore", invalid="ignore"):
             if self._only is not None:
-                return self._only.survival(r)
-            return self._gather([batch.survival(r) for _, batch in self._parts])
+                return getattr(self._only, oracle)(r)
+            return self._gather([getattr(batch, oracle)(r) for _, batch in self._parts])
 
     def _gather(self, values: list[np.ndarray]) -> np.ndarray:
         out = np.empty(self.n)

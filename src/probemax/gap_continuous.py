@@ -32,7 +32,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .gap2 import TIE_TOL, tie_class_at
+from .gap2 import TIE_TOL, _fill, _tie_run
 from .minmax import BoundResult, Instance, minimize_hmax
 from .policy_eval import PolicyStats, ThresholdPolicy, evaluate
 
@@ -81,10 +81,18 @@ def construct_s_minus_plus(
     first with the lowest (maximizing the derivative of H), the second with
     the highest (minimizing it).  Ties break toward the lowest index.
     """
+    s_minus, s_plus, _ = _extreme_sets(inst, r_star)
+    return tuple(s_minus.tolist()), tuple(s_plus.tolist())
+
+
+def _extreme_sets(inst: Instance, r_star: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """construct_s_minus_plus's sets as sorted arrays, and the survival column at r_star."""
     _require_continuous(inst)
-    tc = tie_class_at(inst, r_star, tol=CONT_TIE_TOL)
     surv = inst._packed.survival(r_star)
-    return tc.fill(-surv), tc.fill(surv)
+    order, start, end = _tie_run(inst._packed.g_value(r_star), inst.k,
+                                 CONT_TIE_TOL * inst.mu_max)
+    prefix, tied, slots = order[:start], order[start:end], inst.k - start
+    return _fill(prefix, tied, slots, -surv), _fill(prefix, tied, slots, surv), surv
 
 
 def maximize_overlap(
@@ -105,27 +113,26 @@ def maximize_overlap(
     sign change: the first two windows if every derivative is negative, the
     last two if none is.  With d <= 1 the inputs come back unchanged.
     """
-    s_minus = inst.subset(s_minus)
-    s_plus = inst.subset(s_plus)
-    shared = set(s_minus) & set(s_plus)
-    d = len(s_minus) - len(shared)
+    s_minus, s_plus = (np.array(inst.subset(s), dtype=np.intp) for s in (s_minus, s_plus))
+    lo, hi = _overlap(inst._packed.survival(r_star), s_minus, s_plus)
+    return tuple(lo.tolist()), tuple(hi.tolist())
+
+
+def _overlap(surv: np.ndarray, s_minus: np.ndarray, s_plus: np.ndarray):
+    """maximize_overlap over sorted index arrays and the survival column."""
+    side = _sides(surv.size, s_minus, s_plus)
+    shared = s_minus[side[s_minus] == 3]
+    d = s_minus.size - shared.size
     if d <= 1:
         return s_minus, s_plus
 
-    surv = inst._packed.survival(r_star)
+    def by_survival(members):  # sorted members, so ties stay in index order
+        return members[np.argsort(surv[members], kind="stable")]
 
-    def by_survival(members):
-        members = np.array(sorted(members), dtype=np.intp)
-        return members[np.argsort(surv[members], kind="stable")]  # ties by index
-
-    row = np.concatenate((by_survival(set(s_minus) - shared), by_survival(set(s_plus) - shared)))
+    row = np.concatenate((by_survival(s_minus[side[s_minus] == 1]),
+                          by_survival(s_plus[side[s_plus] == 2])))
     row_surv = surv[row].tolist()
-    shared_surv = surv[list(shared)].tolist()
-    row = row.tolist()
-
-    def window(j: int) -> tuple[int, ...]:
-        return tuple(sorted(shared.union(row[j : j + d])))
-
+    shared_surv = surv[shared].tolist()
     lo, hi = -1, d + 1  # virtual windows beyond both ends pass and fail the test
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -134,7 +141,15 @@ def maximize_overlap(
         else:
             hi = mid
     lo = min(max(lo, 0), d - 1)
-    return window(lo), window(lo + 1)
+    return tuple(np.sort(np.concatenate((shared, row[j : j + d]))) for j in (lo, lo + 1))
+
+
+def _sides(n: int, s_minus: np.ndarray, s_plus: np.ndarray) -> np.ndarray:
+    """Per variable: 1 in s_minus only, 2 in s_plus only, 3 in both, else 0."""
+    side = np.zeros(n, dtype=np.intp)
+    side[s_minus] = 1
+    side[s_plus] += 2
+    return side
 
 
 def compute_psi_star(inst: Instance, r_star: float) -> PsiSolution:
@@ -143,13 +158,13 @@ def compute_psi_star(inst: Instance, r_star: float) -> PsiSolution:
     alpha solves alpha * sum_{S+} P + (1 - alpha) * sum_{S-} P = 1.  When the
     two sums fail to straddle 1 by at most TOL_PSI (threshold imprecision),
     alpha clamps to the nearer endpoint and the solution degrades to an
-    integer one; a larger failure raises ValidationError.
+    integer one; a larger failure raises ValidationError.  It reads the G
+    and survival columns once and builds everything over index arrays.
     """
-    s_minus, s_plus = construct_s_minus_plus(inst, r_star)
-    s_minus, s_plus = maximize_overlap(inst, r_star, s_minus, s_plus)
-    surv = inst._packed.survival(r_star)
-    p_minus = math.fsum(surv[list(s_minus)].tolist())
-    p_plus = math.fsum(surv[list(s_plus)].tolist())
+    s_minus, s_plus, surv = _extreme_sets(inst, r_star)
+    s_minus, s_plus = _overlap(surv, s_minus, s_plus)
+    p_minus = math.fsum(surv[s_minus].tolist())
+    p_plus = math.fsum(surv[s_plus].tolist())
     if p_plus == p_minus:
         alpha = 1.0
     else:
@@ -165,24 +180,19 @@ def compute_psi_star(inst: Instance, r_star: float) -> PsiSolution:
             f"survival sums {p_minus!r} and {p_plus!r} do not straddle 1 "
             f"within {TOL_PSI}; r_star={r_star!r} is too far from a minimizer"
         )
-    psi = [0.0] * inst.n
-    for i in s_plus:
-        psi[i] = alpha
-    plus = set(s_plus)
-    for i in s_minus:
-        psi[i] = 1.0 if i in plus else 1.0 - alpha
+    side = _sides(inst.n, s_minus, s_plus)
+    psi = np.array([0.0, 1.0 - alpha, alpha, 1.0])[side]
     frac_pair = None
-    if 0.0 < alpha < 1.0 and s_plus != s_minus:
-        (ell,) = plus - set(s_minus)
-        (m,) = set(s_minus) - plus
+    if 0.0 < alpha < 1.0 and s_plus.size > np.count_nonzero(side == 3):
+        (ell,), (m,) = np.flatnonzero(side == 2).tolist(), np.flatnonzero(side == 1).tolist()
         frac_pair = (ell, m)
     return PsiSolution(
         r_star=float(r_star),
-        s_minus=s_minus,
-        s_plus=s_plus,
+        s_minus=tuple(s_minus.tolist()),
+        s_plus=tuple(s_plus.tolist()),
         alpha=alpha,
         frac_pair=frac_pair,
-        psi=tuple(psi),
+        psi=tuple(psi.tolist()),
     )
 
 
@@ -198,21 +208,28 @@ def build_policy(
     expectation at r_star (zero-survival slots last, ties by lowest index);
     the pair's slot sorts by the mixture's, w * T_l + (1 - w) * T_m over
     w * P_l + (1 - w) * P_m with w = psi[l], and by min(l, m).  The labels
-    give each entry's original index in inspection order.
+    give each entry's original index in inspection order.  One np.lexsort
+    over the support's survival and tail moment columns orders the slots.
     """
     r = sol.r_star
-    slots = []  # (survival, tail moment, label, the slot's index in each branch)
-    ones = [i for i, w in enumerate(sol.psi) if w == 1.0]
-    for i, d in zip(ones, inst._variables(ones)):
-        slots.append((d.survival(r), d.tail_moment_one(r), i, (i, i)))
-    if sol.frac_pair is not None:
-        ell, m = sol.frac_pair
-        w, (left, right) = sol.psi[ell], inst._variables(sol.frac_pair)
-        surv = w * left.survival(r) + (1.0 - w) * right.survival(r)
-        tail = w * left.tail_moment_one(r) + (1.0 - w) * right.tail_moment_one(r)
-        slots.append((surv, tail, min(ell, m), (ell, m)))
-    slots.sort(key=lambda s: (-(s[1] / s[0]) if s[0] > 0.0 else -0.0, s[2]))
-    orders = [tuple(s[3][b] for s in slots) for b in range(1 if sol.frac_pair is None else 2)]
+    ones = np.flatnonzero(np.array(sol.psi) == 1.0)
+    pair = sol.frac_pair or ()
+    packed, rows = inst._packed, np.concatenate((ones, np.array(pair, dtype=np.intp)))
+    if 4 * rows.size < packed.n:  # else reading every row costs less than a gather
+        packed, rows = packed.take(rows), slice(None)
+    surv, tail = packed.survival(r)[rows].tolist(), packed.tail_moment_one(r)[rows].tolist()
+    branches = [ones]
+    if pair:
+        w = sol.psi[pair[0]]
+        surv[-2:] = [w * surv[-2] + (1.0 - w) * surv[-1]]
+        tail[-2:] = [w * tail[-2] + (1.0 - w) * tail[-1]]
+        branches = [np.append(ones, i) for i in pair]
+    surv, tail = np.array(surv), np.array(tail)
+    key = np.full(surv.size, -0.0)
+    hit = surv > 0.0
+    key[hit] = -(tail[hit] / surv[hit])
+    slots = np.lexsort((np.append(ones, min(pair)) if pair else ones, key))
+    orders = [tuple(branch[slots].tolist()) for branch in branches]
     return tuple((ThresholdPolicy(inst._variables(order), r), order) for order in orders)
 
 

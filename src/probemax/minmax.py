@@ -25,13 +25,16 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .distributions import _DISCRETE, Distribution, _Packed, _real
+from .distributions import _DISCRETE, _EXPONENTIAL, Distribution, _Packed, _real
 from .errors import ValidationError
 
 INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi, golden-section shrink factor
 
 #: Bisection width for rho, relative to the subset's mean sum.
 RHO_TOL_SCALE = 1e-12
+
+#: Up to this many terms fsum costs less than a plain sum and its error interval.
+_FSUM_TERMS = 48
 
 
 class Instance:
@@ -203,7 +206,7 @@ def minimize_hmax(inst: Instance, xi_target: float) -> BoundResult:
         fd = live.h_max(d, lo, hi)
         while hi - lo > xi:
             width = hi - lo
-            if fc < fd:
+            if _less(fc, fd):
                 hi, d, fd = d, c, fc
                 c = hi - INV_PHI * (hi - lo)
                 fc = live.h_max(c, lo, hi)
@@ -215,7 +218,7 @@ def minimize_hmax(inst: Instance, xi_target: float) -> BoundResult:
             if hi - lo >= width:
                 break  # the bracket is a few ulps wide and cannot shrink further
     r_hat = 0.5 * (lo + hi)
-    u_star = live.h_max(r_hat, lo, hi)
+    u_star = _exact(live.h_max(r_hat, lo, hi))
     if not math.isfinite(u_star):
         raise ValidationError(
             f"upper bound U* overflows to {u_star!r} at r_hat={r_hat!r}; "
@@ -230,8 +233,15 @@ def minimize_hmax(inst: Instance, xi_target: float) -> BoundResult:
 class _Candidates:
     """The variables that can still enter the top k on the search bracket.
 
-    G_i never increases.  On [lo, hi] variable i is dropped when its support
-    top is <= lo, where G_i is exactly 0, or when G_i(lo) lies over
+    Exponentials first: for r > 0, G = exp(-rate * r) / rate falls as the
+    rate rises, and so do its bits for rates over 2^-50 apart relative: the
+    product and the division round monotonically and math.exp errs by under
+    an ulp (or, subnormal, is monotone).  So with at least 2k exponentials,
+    where a gather pays, those over about 8 ulps above the k-th smallest
+    rate, never above the k smallest in G, are dropped at once.
+
+    Then G_i never increases.  On [lo, hi] variable i is dropped when its
+    support top is <= lo, where G_i is exactly 0, or when G_i(lo) lies over
     1e-11 * mu_max below T, the k-th largest G at hi, as the k kept variables
     at or above T stay above it on the bracket.  The margin covers G's
     rounding: a rise of a few ulps at an atom or a uniform's `a`, and of
@@ -242,27 +252,41 @@ class _Candidates:
 
     def __init__(self, inst: Instance) -> None:
         self.k, self.margin = inst.k, 1e-11 * inst.mu_max  # several times G's rounding
-        self._keep(inst._packed, inst._packed.top())
+        packed, top = inst._packed, inst._packed.top()
+        exp = packed.batches[_EXPONENTIAL]
+        if exp is not None and exp.rate.size >= 2 * self.k:
+            cap = np.partition(exp.rate, self.k - 1)[self.k - 1] * (1.0 + 2.0**-49)
+            slow = np.flatnonzero(packed.kind == _EXPONENTIAL)[exp.rate > cap]
+            if slow.size:
+                rows = np.delete(np.arange(packed.n), slow)
+                packed, top = packed.take(rows), top[rows]
+        self._keep(packed, top)
         # Evaluated points: r -> (G of the kept variables, and the k-th largest
         # G, or 0 when at most k are kept).  G at 0 is the mean.
-        self.seen = {0.0: (inst._packed.mean(), 0.0)}
+        self.seen = {0.0: (packed.mean(), 0.0)}
 
     def _keep(self, packed, top: np.ndarray) -> None:
         self.packed, self.top = packed, top
         self.top_min = float(top.min(initial=math.inf))
         self.top_max = float(top.max(initial=-math.inf))
 
-    def h_max(self, r: float, lo: float, hi: float) -> float:
-        """H_max(r), for r in a bracket [lo, hi] that holds every later point."""
+    def h_max(self, r: float, lo: float, hi: float) -> list:
+        """H_max(r) as a point (see _less).
+
+        r lies in a bracket [lo, hi] that holds every later point.
+        """
         self._prune(lo, hi)
         if r >= self.top_max:
             self.seen[r] = (np.zeros(self.top.size), 0.0)
-            return r
+            return [r, 0.0, r, None]
         g = self.packed.g_value(r)
         cut = g.size - self.k
         top = np.partition(g, cut)[cut:] if cut > 0 else g  # the k-th largest first
         self.seen[r] = (g, float(top[0]) if cut > 0 else 0.0)
-        return r + math.fsum(top.tolist())
+        if top.size <= _FSUM_TERMS:
+            return [r + math.fsum(top.tolist()), 0.0, r, None]
+        value = r + float(top.sum())
+        return [value, (top.size + 4) * 2.0**-52 * value, r, top]
 
     def _prune(self, lo: float, hi: float) -> None:
         self.seen = {r: point for r, point in self.seen.items() if lo <= r <= hi}
@@ -278,12 +302,44 @@ class _Candidates:
         self.seen = {r: (g[rows], t) for r, (g, t) in self.seen.items()}
 
 
+def _less(p: list, q: list) -> bool:
+    """Whether h_max at point p is below h_max at point q, as floats compare.
+
+    A point [v, e, r, terms] is exact when e = 0 (up to _FSUM_TERMS terms).
+    Else v = fl(r + P), P a plain sum of the m terms g_j >= 0 (the k largest
+    G), and e = (m + 4) * 2^-52 * v.  With u = 2^-53 and S their exact sum,
+    |P - S| <= (m - 1) * u * S / (1 - (m - 1) * u) in any order, fsum is S
+    rounded once and h_max's f = fl(r + fsum), so |f - v| <= (m + 1) * u *
+    (r + S) * (1 + O(m * u)), under half of e.  A float sum cannot underflow:
+    one below 2^-1021 is exact.  So either r + S < 2^-1021 and f = v, or e
+    exceeds the bound by over 2^-1075, the most underflow takes from e.  The
+    slack also covers rounding v +- e, so disjoint intervals order the
+    floats exactly; otherwise, or at an overflowed or NaN end, the fsum
+    values decide, computed once per point.
+    """
+    if p[0] + p[1] < q[0] - q[1]:
+        return True
+    if p[0] - p[1] >= q[0] + q[1]:
+        return False
+    return _exact(p) < _exact(q)
+
+
+def _exact(point: list) -> float:
+    """h_max at the point: r + fsum of its terms, computed once."""
+    if point[1]:
+        point[0], point[1] = point[2] + math.fsum(point[3].tolist()), 0.0
+    return point[0]
+
+
 def rho(inst: Instance, subset: Iterable[int]) -> float:
     """The unique non-negative root of sum_{i in S} G_i(r) = r.
 
     G(., S) is continuous and weakly decreasing from sum of the means down to
     0, so [0, sum of means] brackets the root; bisection refines it to
     width 1e-12 * (sum of means), so the root scales with the instance.
+    A member whose support top is <= lo adds an exact +0.0 at every later
+    midpoint, which fsum ignores: such rows go once they are half the set,
+    and a midpoint past every top is "not above" with no G call.
     """
     idx = inst.subset(subset)
     if not idx:
@@ -298,14 +354,21 @@ def rho(inst: Instance, subset: Iterable[int]) -> float:
         ) from None
     if mu_sum <= 0.0:
         raise ValidationError("subset with zero total mean has root 0 and no guarantee")
+    top = packed.top()
+    top_min, top_max = float(top.min()), float(top.max())
     tol = RHO_TOL_SCALE * mu_sum
     lo, hi = 0.0, mu_sum
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break  # a subnormal mean sum rounds tol to 0; stop at one ulp
-        if math.fsum(packed.g_value(mid).tolist()) > mid:
+        if mid < top_max and math.fsum(packed.g_value(mid).tolist()) > mid:
             lo = mid
+            if lo >= top_min:  # a member adds exact zeros from here on
+                live = top > lo
+                if 2 * np.count_nonzero(live) <= live.size:
+                    packed, top = packed.take(np.flatnonzero(live)), top[live]
+                top_min = float(top[top > lo].min())  # top_max > lo is kept
         else:
             hi = mid
     return 0.5 * (lo + hi)

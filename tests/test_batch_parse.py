@@ -51,7 +51,7 @@ def reference_discrete(atoms) -> DiscreteFinite:
     for v, p in items:
         merged[v] = merged.get(v, 0.0) + p
     values = sorted(merged)
-    probs = [merged[v] for v in values]
+    probs = [min(merged[v], 1.0) for v in values]  # a point mass's rounded sum is 1
     d = DiscreteFinite.__new__(DiscreteFinite)
     d.values = np.array(values, dtype=float)
     d.probs = np.array(probs, dtype=float)
@@ -285,6 +285,8 @@ def test_valid_files_build_the_reference_bits(rows, k, copies):
 @example(([2.0, 0.0, -0.0, 2.0, 1.0], [0.125, 0.25, 0.125, 0.25, 0.25]))
 @example(([-0.0, 0.0], [0.5, 0.5]))
 @example(([1e300, 1e-300, 1e300], [0.1, 0.7, 0.2]))
+@example(([0.0, 0.0], [0.5, 0.5000000000000002]))
+@example(([2.5, 2.5, 2.5], [0.2, 0.3, 0.5 + 1e-12]))
 def test_constructor_builds_the_reference_bits(row):
     atoms = list(zip(*row))
     assert outcome(DiscreteFinite, atoms) == outcome(reference_discrete, atoms)
@@ -335,6 +337,15 @@ def test_generated_discrete_instances_keep_their_bits(seed):
     n = 40 * (seed + 1)
     assert outcome(lambda s: gen_instance(n, 3, "discrete", s), seed) == outcome(
         lambda s: reference_gen_discrete(n, 3, s), seed)
+
+
+def test_a_merged_point_mass_is_written_and_read_back():
+    """Atoms of one value whose probabilities sum to 1 + ulp are one atom of
+    probability 1, which emit_instance writes and the parser reads back."""
+    inst = Instance([DiscreteFinite([(0.0, 0.5), (0.0, 0.5000000000000002)]),
+                     DiscreteFinite([(1.0, 1.0)])], 1)
+    assert inst.dists[0].probs.tolist() == [1.0]
+    assert parse_instance_text(instance_io.emit_instance(inst)) == inst
 
 
 def test_parse_memory_grows_with_the_atoms_not_the_widest_row():

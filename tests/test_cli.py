@@ -389,6 +389,14 @@ class TestCommands:
     def test_indices_errors_name_the_typed_number(self, uniform_file, capsys, spec, err):
         assert run_cli(["eval", uniform_file, "--indices", spec], capsys) == (1, "", err)
 
+    @pytest.mark.parametrize("spec", ["1_0,2", "\u0661,2", "+1", "1.0", "0x1"])
+    def test_indices_read_numbers_as_the_file_parser_does(self, tmp_path, capsys, spec):
+        """`1_0` is not 10 and an Arabic-Indic one is not 1, as in the file's `k` line."""
+        path = tmp_path / "ten.inst"
+        path.write_text("k 2\n" + "dist uniform a 0 b 1\n" * 10)
+        err = f"error: --indices {spec!r}: expected comma-separated integers\n"
+        assert run_cli(["eval", str(path), "--indices", spec], capsys) == (1, "", err)
+
     def test_gen_round_trip_via_files(self, tmp_path, capsys):
         out_path = tmp_path / "gen.inst"
         code, _, _ = run_cli(

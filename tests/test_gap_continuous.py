@@ -9,7 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import TwoWay, h_value, random_continuous_instance
+from conftest import (
+    TwoWay,
+    build_policy_reference,
+    h_value,
+    psi_star_reference,
+    random_continuous_instance,
+)
 from probemax import (
     Exponential,
     Instance,
@@ -24,6 +30,7 @@ from probemax import (
 from probemax.gap_continuous import (
     CONT_TIE_TOL,
     TOL_PSI,
+    XI_SCALE,
     PsiSolution,
     build_policy,
     compute_psi_star,
@@ -428,3 +435,47 @@ def test_window_pair_on_tie_heavy_instances(inst):
     assert (sol.s_minus, sol.s_plus) == (lo, hi)
     assert math.fsum(sol.psi) == pytest.approx(inst.k, abs=1e-9)
     assert sum(1 for w in sol.psi if 0.0 < w < 1.0) <= 2
+
+
+# The columnar psi* and policy order against the builds over Python sets and
+# scalar oracles they replaced, field for field.
+
+def _psi_outcome(build, inst, r):
+    try:
+        return build(inst, r)
+    except ValidationError as exc:
+        return type(exc), str(exc)
+
+
+def assert_psi_and_policy_match_the_references(inst, r):
+    got, want = _psi_outcome(compute_psi_star, inst, r), _psi_outcome(psi_star_reference, inst, r)
+    assert got == want
+    if isinstance(got, PsiSolution):
+        assert got.alpha.hex() == want.alpha.hex()
+        assert [w.hex() for w in got.psi] == [w.hex() for w in want.psi]
+        assert build_policy(inst, got) == build_policy_reference(inst, want)
+        return got.frac_pair is not None
+    return False
+
+
+def _minimizer(inst):
+    return minimize_hmax(inst, XI_SCALE * inst.mu_max).r_hat
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.builds(lambda inst: (inst, R_TIE), tie_heavy()),
+    st.builds(lambda seed: (lambda inst: (inst, _minimizer(inst)))(kink_instance(seed)),
+              st.integers(0, 10**6)),
+    st.builds(lambda seed: (lambda inst: (inst, _minimizer(inst)))(
+        random_continuous_instance(seed, 3, 40)), st.integers(0, 10**6)),
+))
+def test_columnar_psi_and_policy_are_the_reference_builds(case):
+    assert_psi_and_policy_match_the_references(*case)
+
+
+def test_columnar_psi_and_policy_take_the_fractional_pair_path():
+    """No benchmark op reaches a fractional pair; the kink instances do."""
+    pairs = sum(assert_psi_and_policy_match_the_references(inst, _minimizer(inst))
+                for inst in map(kink_instance, range(120)))
+    assert pairs >= 30

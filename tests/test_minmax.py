@@ -13,6 +13,7 @@ from conftest import (
     h_value,
     random_continuous_instance,
     random_discrete_instance,
+    rho_reference,
 )
 from probemax import (
     DiscreteFinite,
@@ -25,8 +26,9 @@ from probemax import (
     point_mass,
     rho,
 )
-from probemax.distributions import _Packed
-from probemax.gap2 import XI_DENOMINATOR, tie_class_at
+from probemax.distributions import _EXPONENTIAL, _ExponentialBatch, _Packed
+from probemax.gap2 import XI_DENOMINATOR, select_gap2_set, tie_class_at
+from probemax.gap_continuous import XI_SCALE
 from probemax.minmax import h_derivative_continuous, h_max
 
 TWO_UNIFORM = Instance([Uniform(0, 1), Uniform(0, 1)], 2)
@@ -298,24 +300,35 @@ def _variables():
 def search_instances(draw):
     """(instance, xi) over the shapes that stress the pruning rules, at scales 2^-60 to 2^60.
 
+    Some have more than _FSUM_TERMS variables, so comparisons go through the
+    plain sums' error intervals, and some more exponentials than k.
+
     xi runs from epsilon = 0.05 down to 1e-12 in gap2's terms, and in one
     case of five to the smallest float, where the bracket ends a few ulps
     apart and the rounded G values at its two ends can tie.
     """
-    kind = draw(st.sampled_from(["mixed", "close-rates", "iid-uniform"]))
-    n = draw(st.integers(1, 30))
+    kind = draw(st.sampled_from(["mixed", "close-rates", "many-exponentials", "iid-uniform"]))
+    n = draw(st.one_of(st.integers(1, 30), st.integers(49, 120)))  # over 48 terms: intervals
+    k_max = n
     if kind == "mixed":
         dists = draw(st.lists(_variables(), min_size=n, max_size=n))
     elif kind == "close-rates":  # rates a few ulps apart
         rate = draw(_floats(0.2, 2.0))
         steps = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
         dists = [Exponential(rate + j * math.ulp(rate)) for j in steps]
+    elif kind == "many-exponentials":  # more than k, tied and ulps apart at the k-th rate
+        rate = draw(_floats(0.2, 2.0))
+        steps = draw(st.lists(st.integers(0, 12), min_size=n + 1, max_size=n + 1))
+        slow = draw(st.lists(_floats(1.0, 8.0), max_size=6))
+        dists = draw(st.permutations(
+            [Exponential(rate + j * math.ulp(rate)) for j in steps]
+            + [Exponential(rate * f) for f in slow] + draw(st.lists(_variables(), max_size=8))))
     else:  # every variable tied
         dists = [Uniform(0.0, 1.0)] * n
     assume(any(d.mean() > 0.0 for d in dists))
     scale = 2.0 ** draw(st.sampled_from([-60, 0, 60]))
     dists = [_scaled(d, scale) for d in dists]
-    inst = Instance(dists, draw(st.integers(1, n)))
+    inst = Instance(dists, draw(st.integers(1, k_max)))
     if draw(st.integers(0, 4)) == 0:
         return inst, math.ulp(0.0)  # until the bracket stops at float resolution
     epsilon = 10.0 ** draw(_floats(-12.0, math.log10(0.05)))
@@ -374,3 +387,59 @@ def test_search_evaluates_only_live_candidates(monkeypatch, family, k, share, se
     got = minimize_hmax(inst, xi)
     assert got.iterations == want.iterations
     assert evaluated <= share * inst.n * (got.iterations + 3)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_search_sums_exactly_only_where_the_intervals_overlap(monkeypatch, seed):
+    """On gap-cont's mixed files the plain sums and their error intervals
+    decide at least 65% of the comparisons (75% measured), and no point
+    evaluates more exponentials than the k with the smallest rates and the
+    rates within a few ulps of the k-th."""
+    inst = gen_instance(10_000, 2000, "mixed", seed)
+    xi = XI_SCALE * inst.mu_max
+    want = golden_section_reference(inst, xi)
+    fsum, g_value = math.fsum, _ExponentialBatch.g_value
+    fsums, exponentials = 0, []
+
+    def counting_fsum(terms):
+        nonlocal fsums
+        fsums += 1
+        return fsum(terms)
+
+    def counting_g_value(self, r):
+        exponentials.append(self.rate.size)
+        return g_value(self, r)
+
+    monkeypatch.setattr(math, "fsum", counting_fsum)
+    monkeypatch.setattr(_ExponentialBatch, "g_value", counting_g_value)
+    got = minimize_hmax(inst, xi)
+    assert got == want and got.u_star.hex() == want.u_star.hex()
+    assert fsums <= 0.35 * (got.iterations + 3)
+    rates = inst._packed.batches[_EXPONENTIAL].rate
+    kth = np.partition(rates, inst.k - 1)[inst.k - 1]
+    assert 0 < max(exponentials) <= np.count_nonzero(rates <= kth * (1.0 + 2.0**-48))
+
+
+def _outcome(f, *args):
+    """f's value as hex, or its error's type and message."""
+    try:
+        return f(*args).hex()
+    except ValidationError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(search_instances(), st.data())
+def test_rho_is_the_plain_bisection_bit_for_bit(case, data):
+    inst, _ = case
+    members = data.draw(st.lists(st.integers(0, inst.n - 1), min_size=1, unique=True))
+    assert _outcome(rho, inst, members) == _outcome(rho_reference, inst, members)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_rho_on_gap2_sets_is_the_plain_bisection(seed):
+    """The benchmark's discrete shape: most members' tops lie below the root."""
+    result = select_gap2_set(gen_instance(10_000, 1000, "discrete", seed))
+    inst = gen_instance(10_000, 1000, "discrete", seed)
+    for members in (result.s_tilde_plus, result.s_tilde_minus):
+        assert rho(inst, members).hex() == rho_reference(inst, members).hex()

@@ -118,6 +118,20 @@ def test_packed_oracles_equal_the_scalar_methods(dists, extra):
             assert_same_bits(packed.survival(r), [d.survival(r) for d in dists], r)
 
 
+@SETTINGS
+@given(st.lists(VARIABLES, min_size=1, max_size=8),
+       st.floats(allow_nan=False, allow_infinity=False))
+@example([Exponential(0.5), Uniform(1.0, 3.0), DiscreteFinite([(0.0, 0.5), (2.0, 0.5)])], 2.0)
+def test_packed_tail_moment_equals_the_scalar_method(dists, extra):
+    """At r <= 0, at and beside every atom, a and b, inside, past the top,
+    and at r = +-inf, where an exponential's exp(-inf) * inf would be NaN."""
+    packed = _Packed.gather(dists)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for r in probe_points(dists) + [extra, math.inf, -math.inf]:
+            assert_same_bits(packed.tail_moment_one(r), [d.tail_moment_one(r) for d in dists], r)
+
+
 def valid_instance(dists) -> bool:
     """A positive largest mean and a finite mean sum."""
     try:
