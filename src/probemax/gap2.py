@@ -54,15 +54,11 @@ class TieClass:
         `key` holds one number per variable.  Ties in key break toward the
         lowest index; the set comes back sorted.
         """
-        tied, prefix = np.array(self.tied, dtype=np.intp), np.array(self.prefix, dtype=np.intp)
-        return tuple(_fill(prefix, tied, self.slots, np.asarray(key, dtype=float)).tolist())
-
-
-def _fill(prefix: np.ndarray, tied: np.ndarray, slots: int, key: np.ndarray) -> np.ndarray:
-    """TieClass.fill over index arrays, as a sorted array."""
-    tied = np.sort(tied)  # index order first, so the stable sort breaks ties by index
-    chosen = tied[np.argsort(-key[tied], kind="stable")]
-    return np.sort(np.concatenate((prefix, chosen[:slots])))
+        # Index order first, so the stable sort breaks ties by index.
+        tied = np.sort(np.array(self.tied, dtype=np.intp))
+        chosen = tied[np.argsort(-np.asarray(key, dtype=float)[tied], kind="stable")]
+        prefix = np.array(self.prefix, dtype=np.intp)
+        return tuple(np.sort(np.concatenate((prefix, chosen[: self.slots]))).tolist())
 
 
 def tie_class_at(inst: Instance, r_anchor: float, tol: float = TIE_TOL) -> TieClass:
@@ -70,27 +66,22 @@ def tie_class_at(inst: Instance, r_anchor: float, tol: float = TIE_TOL) -> TieCl
 
     Tail moments within tol * mu_max of the k-th largest one are tied.
     """
-    order, start, end = _tie_run(g_values(inst, r_anchor), inst.k, tol * inst.mu_max)
-    return TieClass(
-        prefix=tuple(order[:start].tolist()),
-        tied=tuple(order[start:end].tolist()),
-        slots=inst.k - start,
-    )
-
-
-def _tie_run(gs: np.ndarray, k: int, width: float) -> tuple[np.ndarray, int, int]:
-    """(order, start, end): gs ranked weakly decreasing, ties by index.
-
-    order[start:end] is the run of values within `width` of the k-th largest.
-    """
-    order = np.argsort(-gs, kind="stable")
+    gs = g_values(inst, r_anchor)
+    order = np.argsort(-gs, kind="stable")  # ties by index
     ranked = gs[order]
-    far = ~(np.abs(ranked - ranked[k - 1]) <= width)
+    k = inst.k
+    # The tie class is the run of values around the k-th largest one that
+    # lie within the tolerance of it.
+    far = ~(np.abs(ranked - ranked[k - 1]) <= tol * inst.mu_max)
     before = np.flatnonzero(far[: k - 1])
     after = np.flatnonzero(far[k:])
     start = int(before[-1]) + 1 if before.size else 0
-    end = k + int(after[0]) if after.size else gs.size
-    return order, start, end
+    end = k + int(after[0]) if after.size else inst.n
+    return TieClass(
+        prefix=tuple(order[:start].tolist()),
+        tied=tuple(order[start:end].tolist()),
+        slots=k - start,
+    )
 
 
 @dataclass(frozen=True)

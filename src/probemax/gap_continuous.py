@@ -32,7 +32,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .gap2 import TIE_TOL, _fill, _tie_run
+from .gap2 import TIE_TOL, tie_class_at
 from .minmax import BoundResult, Instance, minimize_hmax
 from .policy_eval import PolicyStats, ThresholdPolicy, evaluate
 
@@ -81,18 +81,10 @@ def construct_s_minus_plus(
     first with the lowest (maximizing the derivative of H), the second with
     the highest (minimizing it).  Ties break toward the lowest index.
     """
-    s_minus, s_plus, _ = _extreme_sets(inst, r_star)
-    return tuple(s_minus.tolist()), tuple(s_plus.tolist())
-
-
-def _extreme_sets(inst: Instance, r_star: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """construct_s_minus_plus's sets as sorted arrays, and the survival column at r_star."""
     _require_continuous(inst)
+    tc = tie_class_at(inst, r_star, tol=CONT_TIE_TOL)
     surv = inst._packed.survival(r_star)
-    order, start, end = _tie_run(inst._packed.g_value(r_star), inst.k,
-                                 CONT_TIE_TOL * inst.mu_max)
-    prefix, tied, slots = order[:start], order[start:end], inst.k - start
-    return _fill(prefix, tied, slots, -surv), _fill(prefix, tied, slots, surv), surv
+    return tc.fill(-surv), tc.fill(surv)
 
 
 def maximize_overlap(
@@ -158,11 +150,12 @@ def compute_psi_star(inst: Instance, r_star: float) -> PsiSolution:
     alpha solves alpha * sum_{S+} P + (1 - alpha) * sum_{S-} P = 1.  When the
     two sums fail to straddle 1 by at most TOL_PSI (threshold imprecision),
     alpha clamps to the nearer endpoint and the solution degrades to an
-    integer one; a larger failure raises ValidationError.  It reads the G
-    and survival columns once and builds everything over index arrays.
+    integer one; a larger failure raises ValidationError.  The window pair
+    and psi are built over index arrays and the survival column.
     """
-    s_minus, s_plus, surv = _extreme_sets(inst, r_star)
-    s_minus, s_plus = _overlap(surv, s_minus, s_plus)
+    s_minus, s_plus = construct_s_minus_plus(inst, r_star)
+    surv = inst._packed.survival(r_star)
+    s_minus, s_plus = _overlap(surv, *(np.array(s, dtype=np.intp) for s in (s_minus, s_plus)))
     p_minus = math.fsum(surv[s_minus].tolist())
     p_plus = math.fsum(surv[s_plus].tolist())
     if p_plus == p_minus:
@@ -209,15 +202,15 @@ def build_policy(
     the pair's slot sorts by the mixture's, w * T_l + (1 - w) * T_m over
     w * P_l + (1 - w) * P_m with w = psi[l], and by min(l, m).  The labels
     give each entry's original index in inspection order.  One np.lexsort
-    over the support's survival and tail moment columns orders the slots.
+    over the support's rows of the survival and tail moment columns orders
+    the slots.
     """
     r = sol.r_star
     ones = np.flatnonzero(np.array(sol.psi) == 1.0)
     pair = sol.frac_pair or ()
-    packed, rows = inst._packed, np.concatenate((ones, np.array(pair, dtype=np.intp)))
-    if 4 * rows.size < packed.n:  # else reading every row costs less than a gather
-        packed, rows = packed.take(rows), slice(None)
-    surv, tail = packed.survival(r)[rows].tolist(), packed.tail_moment_one(r)[rows].tolist()
+    rows = np.concatenate((ones, np.array(pair, dtype=np.intp)))
+    surv = inst._packed.survival(r)[rows].tolist()
+    tail = inst._packed.tail_moment_one(r)[rows].tolist()
     branches = [ones]
     if pair:
         w = sol.psi[pair[0]]

@@ -33,7 +33,8 @@ INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/phi, golden-section shrink factor
 #: Bisection width for rho, relative to the subset's mean sum.
 RHO_TOL_SCALE = 1e-12
 
-#: Up to this many terms fsum costs less than a plain sum and its error interval.
+#: Up to this many terms fsum costs less than a plain sum and its error
+#: interval (README, the envelope search, gives the timings per size).
 _FSUM_TERMS = 48
 
 

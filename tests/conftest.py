@@ -94,8 +94,8 @@ def rho_reference(inst: Instance, subset: Iterable[int]) -> float:
 
 
 def psi_star_reference(inst: Instance, r_star: float) -> PsiSolution:
-    """compute_psi_star over the TieClass tuples, Python sets and a survival
-    column read three times; the columnar build must give every field."""
+    """compute_psi_star over the TieClass tuples and Python sets; the
+    columnar build must give every field."""
     _require_continuous(inst)
     tc = tie_class_at(inst, r_star, tol=CONT_TIE_TOL)
     surv = inst._packed.survival(r_star)

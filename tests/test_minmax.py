@@ -309,7 +309,6 @@ def search_instances(draw):
     """
     kind = draw(st.sampled_from(["mixed", "close-rates", "many-exponentials", "iid-uniform"]))
     n = draw(st.one_of(st.integers(1, 30), st.integers(49, 120)))  # over 48 terms: intervals
-    k_max = n
     if kind == "mixed":
         dists = draw(st.lists(_variables(), min_size=n, max_size=n))
     elif kind == "close-rates":  # rates a few ulps apart
@@ -328,7 +327,7 @@ def search_instances(draw):
     assume(any(d.mean() > 0.0 for d in dists))
     scale = 2.0 ** draw(st.sampled_from([-60, 0, 60]))
     dists = [_scaled(d, scale) for d in dists]
-    inst = Instance(dists, draw(st.integers(1, k_max)))
+    inst = Instance(dists, draw(st.integers(1, n)))
     if draw(st.integers(0, 4)) == 0:
         return inst, math.ulp(0.0)  # until the bracket stops at float resolution
     epsilon = 10.0 ** draw(_floats(-12.0, math.log10(0.05)))
@@ -439,7 +438,7 @@ def test_rho_is_the_plain_bisection_bit_for_bit(case, data):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_rho_on_gap2_sets_is_the_plain_bisection(seed):
     """The benchmark's discrete shape: most members' tops lie below the root."""
-    result = select_gap2_set(gen_instance(10_000, 1000, "discrete", seed))
     inst = gen_instance(10_000, 1000, "discrete", seed)
+    result = select_gap2_set(inst)
     for members in (result.s_tilde_plus, result.s_tilde_minus):
         assert rho(inst, members).hex() == rho_reference(inst, members).hex()
