@@ -118,10 +118,19 @@ def cmd_gapcont(inst: Instance, args) -> dict:
     }
 
 
+def _check_oracles(s_star: float, a_star: float, u_star: float) -> None:
+    """Raise GuaranteeViolation unless S* <= A* <= U*, each within GUARANTEE_RTOL."""
+    rtol = 1.0 + gap2_mod.GUARANTEE_RTOL
+    if not (s_star <= a_star * rtol and a_star <= u_star * rtol):
+        raise GuaranteeViolation(
+            f"expected s_star={s_star!r} <= a_star={a_star!r} <= u_star={u_star!r}")
+
+
 def cmd_oracle(inst: Instance, args) -> dict:
     a_star = oracles.adaptive_optimum_dp(inst)
     s_star, s_set = oracles.static_optimum_enum(inst)
     u_star = gap2_mod.narrow_interval(inst, args.epsilon).u_star
+    _check_oracles(s_star, a_star, u_star)
     return {
         "a_star": a_star,
         "s_star": s_star,
@@ -178,6 +187,7 @@ def _bench_row(instance_id: int, family: str, inst: Instance, epsilon: float) ->
         except InstanceTooLarge:
             row["status"] = "too_large"
         else:
+            _check_oracles(s_star, a_star, result.bound.u_star)
             row.update(
                 a_star=a_star,
                 s_star=s_star,

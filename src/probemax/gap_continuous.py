@@ -200,22 +200,23 @@ def build_policy(
     psi[l] = alpha.  Slots sort by weakly-decreasing conditional tail
     expectation at r_star (zero-survival slots last, ties by lowest index);
     the pair's slot sorts by the mixture's, w * T_l + (1 - w) * T_m over
-    w * P_l + (1 - w) * P_m with w = psi[l], and by min(l, m).  The labels
-    give each entry's original index in inspection order.  One np.lexsort
-    over the support's rows of the survival and tail moment columns orders
-    the slots.
+    w * P_l + (1 - w) * P_m with w = psi[l] = alpha, and by min(l, m).  The
+    labels give each entry's original index in inspection order.  psi is 1
+    on S- and S+ both, alpha on S+ only and 1 - alpha on S- only, so the
+    support comes from those k-sized sets, and one np.lexsort over its rows
+    of the survival and tail moment columns orders the slots.
     """
-    r = sol.r_star
-    ones = np.flatnonzero(np.array(sol.psi) == 1.0)
+    r, alpha = sol.r_star, sol.alpha
+    ones = np.array(sorted(set(sol.s_minus).intersection(sol.s_plus)) if 0.0 < alpha < 1.0
+                    else sol.s_plus if alpha else sol.s_minus, dtype=np.intp)
     pair = sol.frac_pair or ()
     rows = np.concatenate((ones, np.array(pair, dtype=np.intp)))
     surv = inst._packed.survival(r)[rows].tolist()
     tail = inst._packed.tail_moment_one(r)[rows].tolist()
     branches = [ones]
     if pair:
-        w = sol.psi[pair[0]]
-        surv[-2:] = [w * surv[-2] + (1.0 - w) * surv[-1]]
-        tail[-2:] = [w * tail[-2] + (1.0 - w) * tail[-1]]
+        surv[-2:] = [alpha * surv[-2] + (1.0 - alpha) * surv[-1]]
+        tail[-2:] = [alpha * tail[-2] + (1.0 - alpha) * tail[-1]]
         branches = [np.append(ones, i) for i in pair]
     surv, tail = np.array(surv), np.array(tail)
     key = np.full(surv.size, -0.0)

@@ -1,7 +1,7 @@
 """Shared builders for seeded random test instances, and references: H(r, S),
 the plain golden-section search, the plain rho bisection, the psi* and
-policy builds over Python sets and scalar oracles, and a two-way mixture
-entry."""
+policy builds over Python sets and scalar oracles, the recursive adaptive
+DP, and a two-way mixture entry."""
 
 import math
 from typing import Iterable
@@ -157,6 +157,51 @@ def build_policy_reference(inst: Instance, sol: PsiSolution):
     slots.sort(key=lambda s: (-(s[1] / s[0]) if s[0] > 0.0 else -0.0, s[2]))
     orders = [tuple(s[3][b] for s in slots) for b in range(1 if sol.frac_pair is None else 2)]
     return tuple((ThresholdPolicy([inst.dists[i] for i in order], r), order) for order in orders)
+
+
+def adaptive_dp_reference(inst: Instance) -> float:
+    """adaptive_optimum_dp as a recursion memoized over (best value, unprobed mask).
+
+    One math.fsum per (state, variable); with one probe left, E[max(r, X_i)]
+    is cached per (variable, best value).  The level-wise DP must return its
+    bits.
+    """
+    supports = [(i, 1 << i, list(zip(d.values.tolist(), d.probs.tolist())))
+                for i, d in enumerate(inst.dists)]
+    memo: dict[tuple[float, int], float] = {}
+    last: dict[tuple[int, float], float] = {}
+
+    def best(kappa: int, r: float, mask: int) -> float:
+        # kappa <= popcount(mask) in every state, so no base case is needed.
+        value = r
+        for i, bit, support in supports:
+            if not mask & bit:
+                continue
+            if kappa == 1:
+                exp = last.get((i, r))
+                if exp is None:
+                    exp = last[i, r] = math.fsum([p * (v if v > r else r) for v, p in support])
+            else:
+                nxt = mask ^ bit
+                terms = []
+                for v, p in support:
+                    top = v if v > r else r
+                    after = memo.get((top, nxt))
+                    if after is None:
+                        after = memo[top, nxt] = best(kappa - 1, top, nxt)
+                    terms.append(p * after)
+                exp = math.fsum(terms)
+            if exp > value:
+                value = exp
+        return value
+
+    try:
+        return best(inst.k, 0.0, (1 << inst.n) - 1)
+    finally:
+        # `best` refers to itself; clearing the caches frees them without the
+        # cyclic collector, so a traced peak does not depend on when it runs.
+        memo.clear()
+        last.clear()
 
 
 class TwoWay:

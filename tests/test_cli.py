@@ -20,6 +20,7 @@ from probemax import (
     point_mass,
 )
 from probemax import gap2 as gap2_mod
+from probemax import oracles
 from probemax.cli import BENCH_FAMILIES, main
 from probemax.instance_io import (
     emit_instance,
@@ -283,6 +284,20 @@ class TestCommands:
         assert float(row["a_star"]) == pytest.approx(0.8, abs=1e-9)
         assert float(row["s_star"]) <= float(row["a_star"]) + 1e-9
         assert float(row["a_star"]) <= float(row["u_star"]) + 1e-9
+
+    @pytest.mark.parametrize("command", [
+        ["oracle"], ["bench", "--count", "1", "--family", "discrete", "--seed", "3"]])
+    def test_oracle_checks_its_sandwich(self, discrete_file, command, monkeypatch, capsys):
+        # An A* above U* breaks S* <= A* <= U*, which the oracle and bench
+        # commands check as gap2 checks its theorem: exit 2, both values named.
+        monkeypatch.setattr(oracles, "adaptive_optimum_dp", lambda inst: 1e6)
+        argv = command + [discrete_file] if command == ["oracle"] else command
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("internal guarantee violation: ") and err.count("\n") == 1
+        assert "a_star=1000000.0" in err and "u_star=" in err
+        if command == ["oracle"]:
+            assert "u_star=0.8" in err  # U* of the two-variable file
 
     def test_eval_uses_rho_by_default(self, uniform_file, capsys):
         code, out, _ = run_cli(["eval", uniform_file, "--indices", "1,2"], capsys)

@@ -7,10 +7,11 @@ values below r; the reference kept here builds its own arrays per variable
 ``TieClass.fill`` use a stable numpy argsort of the negated keys, and the
 envelope takes its k largest G values with ``np.partition``; the reference
 is a sort by the explicit ``(-g, i)`` key.
-The exact oracles run a DP keyed by (best value, unprobed set) with cached
-last-probe values, and score blocks of subsets on the block's merged grid;
-the references are the DP keyed by (budget, best value, unprobed set) and
-the E[max] of one subset on its own merged grid, one ``math.fsum``.
+The exact oracles run a level-wise DP over (probed set, best value), whose
+sums carry ``math.fsum``'s bits, and score blocks of subsets on the block's
+merged grid; the references are the recursive DP of ``conftest``, the DP
+keyed by (budget, best value, unprobed set) and the E[max] of one subset on
+its own merged grid, one ``math.fsum``.
 """
 
 import math
@@ -22,7 +23,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import h_value
+from conftest import adaptive_dp_reference, h_value
 from probemax import (
     DiscreteFinite,
     Instance,
@@ -35,6 +36,7 @@ from probemax import (
 from probemax import oracles
 from probemax.gap2 import TIE_TOL, build_tilde_set, tie_class_at
 from probemax.gap_continuous import CONT_TIE_TOL, construct_s_minus_plus
+from probemax.instance_io import gen_instance
 from probemax.minmax import h_max
 
 SETTINGS = settings(max_examples=200, deadline=None)
@@ -242,17 +244,34 @@ def reference_static(inst: Instance) -> tuple[float, tuple[int, ...]]:
 
 
 COIN = DiscreteFinite([(0.0, 0.5), (1.0, 0.5)])
-# Signed zeros, shared atoms and a few free values; one atom makes a point mass.
+# Signed zeros, shared atoms and free values over six decades; one atom makes
+# a point mass.
 ORACLE_VALUES = st.one_of(
     st.sampled_from((0.0, -0.0, 0.5, 1.0, 2.0, 3.5)),
     st.floats(min_value=0.0, max_value=10.0, allow_nan=False, allow_infinity=False),
+    st.floats(min_value=1e-3, max_value=1e3),
 )
+
+
+@st.composite
+def dyadic(draw, max_atoms=6, values=VALUES):
+    """A discrete variable whose probabilities are powers of two (0.5, 0.25, ...).
+
+    Its products p * v are exact, so sums of them land on half-way ties.
+    """
+    probs = [1.0]
+    for _ in range(draw(st.integers(0, max_atoms - 1))):
+        p = probs.pop(draw(st.integers(0, len(probs) - 1)))
+        probs += [p / 2, p / 2]
+    values = draw(st.lists(values, min_size=len(probs), max_size=len(probs)))
+    return DiscreteFinite(list(zip(values, probs)))
 
 
 @st.composite
 def oracle_instances(draw, max_atoms=4):
     """Small discrete instances; copies from a pool of variables make tied subsets."""
-    variables = discrete(max_atoms=max_atoms, values=ORACLE_VALUES)
+    variables = st.one_of(discrete(max_atoms=max_atoms, values=ORACLE_VALUES),
+                          dyadic(max_atoms=max_atoms, values=ORACLE_VALUES))
     pool = draw(st.lists(variables, min_size=1, max_size=3))
     dists = draw(st.lists(
         st.one_of(st.sampled_from(pool), variables), min_size=1, max_size=6,
@@ -267,6 +286,120 @@ def oracle_instances(draw, max_atoms=4):
 @example(Instance([point_mass(3.0)], 1))
 def test_adaptive_dp_matches_the_budget_keyed_dp(inst):
     assert bits(adaptive_optimum_dp(inst)) == bits(reference_dp(inst))
+
+
+@SETTINGS
+@given(oracle_instances(max_atoms=12),
+       st.one_of(st.integers(1, 256), st.just(oracles._BLOCK_CELLS)))
+@example(Instance([COIN], 1), oracles._BLOCK_CELLS)  # n = 1
+@example(Instance([COIN, point_mass(0.5), DiscreteFinite([(0.0, 0.25), (2.0, 0.75)])], 3), 1)
+@example(Instance([point_mass(0.5), DiscreteFinite([(0.0, 0.25), (2.0, 0.75)])] * 3, 1), 7)
+@example(Instance([DiscreteFinite([(1e-3, 0.5), (1e3, 0.5)]), point_mass(0.0)], 2), 64)
+def test_adaptive_dp_is_the_recursive_dp_bit_for_bit(inst, cells):
+    # Few cells per block split every level into many blocks.
+    with mock.patch.object(oracles, "_BLOCK_CELLS", cells):
+        assert bits(adaptive_optimum_dp(inst)) == bits(adaptive_dp_reference(inst))
+
+
+# (n, k) with k = 1, k = n and n = 1, and the benchmark's oracle size.
+@pytest.mark.parametrize("n, k", [(1, 1), (6, 1), (6, 6), (9, 1), (9, 9), (11, 6)])
+@pytest.mark.parametrize("seed", range(3))
+def test_adaptive_dp_is_the_recursive_dp_on_generated_instances(n, k, seed):
+    inst = gen_instance(n, k, "discrete", seed)
+    assert bits(adaptive_optimum_dp(inst)) == bits(adaptive_dp_reference(inst))
+
+
+def test_adaptive_dp_certifies_every_sum_on_benchmark_shaped_files():
+    # Files shaped like the benchmark's oracle files (n = 11, k = 6).  Many of
+    # their sums land on a half-way tie; an exact error chain certifies those
+    # too, so no sum needs math.fsum.
+    for seed in range(77000, 77012):
+        inst = gen_instance(11, 6, "discrete", seed)
+        want = adaptive_dp_reference(inst)
+        with mock.patch.object(oracles.math, "fsum", side_effect=math.fsum) as fsum:
+            assert bits(adaptive_optimum_dp(inst)) == bits(want)
+        assert fsum.call_count == 0, seed
+
+
+def fsum_outcome(column):
+    try:
+        return bits(math.fsum(column))
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+def column_sums(columns: list[list[float]]):
+    """_fsum_columns over the columns, as bits, or the type of what it raises."""
+    try:
+        return [bits(x) for x in oracles._fsum_columns(np.array(columns).T).tolist()]
+    except (OverflowError, ValueError) as exc:
+        return type(exc)
+
+
+# Half-way ties, subnormals and their products, zeros of both signs,
+# infinities and values of both signs.
+SUM_TERMS = st.one_of(
+    st.sampled_from((0.0, -0.0, 1.0, 1.5, -1.0, 2.0 ** -53, 3 * 2.0 ** -54, -(2.0 ** -53),
+                     2.0 ** -1074, 2.0 ** -1022, 1e308, math.inf, -math.inf)),
+    st.builds(lambda p, v: p * v, st.sampled_from((0.5, 0.25, 0.125, 0.1, 1 / 3)),
+              st.sampled_from((2.0 ** -1074, 3 * 2.0 ** -1074, 2.0 ** -1022, 1.0, 1e300))),
+    st.floats(allow_nan=False),
+)
+
+
+@st.composite
+def term_columns(draw):
+    m = draw(st.integers(1, 8))
+    return draw(st.lists(st.lists(SUM_TERMS, min_size=m, max_size=m), min_size=1, max_size=6))
+
+
+@SETTINGS
+@given(term_columns())
+@example([[1.0, 2.0 ** -53], [1.0 + 2.0 ** -52, 2.0 ** -53]])  # ties to even, down and up
+@example([[0.5 * 2.0 ** -1074, 2.0 ** -1074, 0.25 * 3 * 2.0 ** -1074]])  # subnormal products
+@example([[0.0, 0.0, 3.0, 0.0], [0.0] * 4, [-0.0] * 4])  # one nonzero term; all zeros
+@example([[math.inf, 1.0], [2.0, 3.0]])
+@example([[math.inf, -math.inf], [2.0, 3.0]])  # math.fsum raises ValueError
+@example([[1e308, 1e308], [2.0, 3.0]])  # and OverflowError
+def test_column_sums_are_fsum(columns):
+    outcomes = [fsum_outcome(c) for c in columns]
+    raised = [o for o in outcomes if isinstance(o, type)]
+    assert column_sums(columns) == (raised[0] if raised else outcomes)
+
+
+# Exact half-way ties: s + c is the sum exactly, and one rounding settles it.
+TIES = [[1.0, 2.0 ** -53], [1.0 + 2.0 ** -52, 2.0 ** -53], [3.0, 2.0 ** -52, 0.0],
+        [0.25, 2.0 ** -56, 2.0 ** -57, 2.0 ** -57]]
+
+
+def test_column_sums_settle_exact_ties_without_fsum():
+    want = [bits(math.fsum(c)) for c in TIES]
+    width = max(map(len, TIES))
+    columns = [c + [0.0] * (width - len(c)) for c in TIES]
+    with mock.patch.object(oracles.math, "fsum", side_effect=math.fsum) as fsum:
+        assert column_sums(columns) == want
+    assert fsum.call_count == 0
+
+
+# Columns (from a random search over mixed signs and magnitudes) whose s + c
+# rounds just inside a half-way point that the second chain's errors carry
+# the sum across: a bound of half their magnitudes' sum would certify the
+# wrong float.
+CANCELLING = [
+    [-1.7129221108917925e-32, -1.7475790005214035e-32, -3.8372890788824394,
+     1.6537236968921911, 2.1844641943518365e-32, 1.7204225712311133e-32],
+    [1.2110380535540177, -1.2486472938392354e-32, -6.758008789059154e-33,
+     -4.9300299330643333e-32, 1.709971779137597, 8.81105647934965e-32,
+     1.5309793082068364e-32, -3.5950711798345945e-32],
+    [9.201657670084806e-33, 1.0711076694531976e-32, -7.78740969004466e-32,
+     -3.247486625896652, -3.542465605232549, 9.315251559270318e-33,
+     2.4224760397956533e-32, 4.0506179199088803e-32],
+]
+
+
+@pytest.mark.parametrize("column", CANCELLING)
+def test_column_sums_bound_the_second_chain(column):
+    assert column_sums([column]) == [bits(math.fsum(column))]
 
 
 def scored_enum(inst: Instance, cells: int):

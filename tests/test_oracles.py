@@ -8,7 +8,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from conftest import random_discrete_instance
+from conftest import adaptive_dp_reference, random_discrete_instance
 from probemax import (
     DiscreteFinite,
     Instance,
@@ -107,9 +107,8 @@ class TestAdaptiveOptimumDP:
             adaptive_optimum_dp(Instance([Uniform(0, 1)], 1))
 
     def test_memo_is_freed_without_the_cyclic_collector(self):
-        # About 4000 (best value, mask) memo entries and 200 (variable, best
-        # value) last-probe entries; each key is a tuple the collector would
-        # count if either cache outlived the call.
+        # The DP's tables are arrays and it makes no closure, so a call must
+        # leave nothing in reference cycles for the collector to find.
         inst = gen_instance(11, 6, "discrete", 5)
         gc.collect()
         gc.disable()
@@ -118,7 +117,25 @@ class TestAdaptiveOptimumDP:
             unreachable = gc.collect()
         finally:
             gc.enable()
-        assert unreachable < 100  # the recursive closure, not the caches' entries
+        assert unreachable < 100
+
+    def test_peak_memory_within_twice_the_recursive_dp(self):
+        # State bound (7 + 1) * 2^14 * 36 = 4,718,592, near MAX_DP_STATES.  The
+        # blocks keep the level-wise DP's temporaries small; its tables of
+        # reachable states must not cost more than twice the recursion's memo.
+        inst = gen_instance(14, 7, "discrete", 3)
+        inst.dists  # the views the reference reads, made before either trace
+        peaks = []
+        for dp in (adaptive_dp_reference, adaptive_optimum_dp):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                value = dp(inst)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert value == adaptive_dp_reference(inst)
+        assert peaks[1] <= 2 * peaks[0], peaks
 
     def test_state_budget(self):
         # (k + 1) * 2^n * (1 + atoms) = 11 * 2^20 * 41, about 4.7e8 states.
